@@ -13,7 +13,6 @@ from evspin import (
     Spin,
     build_quorum,
     default_config,
-    gram_condition,
     quorum_from_document,
     quorum_to_document,
 )
@@ -40,8 +39,8 @@ print(f"{'s':>5} {'points':>7} {'min eig':>10} {'condition':>11} "
       f"{'duality':>10} {'identity':>10}")
 for two_s in range(0, 11):
     q = build_quorum(default_config(Spin(two_s)))
-    min_eig, condition = gram_condition(q)
-    print(f"{two_s / 2:>5.1f} {q.size:>7} {min_eig:>10.2e} {condition:>11.2e} "
+    print(f"{two_s / 2:>5.1f} {q.size:>7} {q.min_gram_eigenvalue:>10.2e} "
+          f"{q.condition_number:>11.2e} "
           f"{q.duality_residual:>10.1e} {q.identity_residual:>10.1e}")
 
 print()

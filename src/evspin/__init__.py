@@ -19,13 +19,11 @@ from .errors import (
     MethodUnsupportedError,
     NonSymmetricCouplingError,
     NotHermitianError,
-    OverflowRiskError,
     SingularMatrixError,
     SingularQuorumError,
 )
 from .linalg import (
     Settings,
-    expm_real,
     hermitian_eigendecomposition,
     hermiticity_deviation,
     settings,
@@ -58,7 +56,6 @@ from .quorum import (
     QuorumConfig,
     build_quorum,
     default_config,
-    gram_condition,
     quorum_from_document,
     quorum_to_document,
 )
@@ -83,7 +80,6 @@ from .dynamics import (
     generator_eigenvalues,
     propagate_exact,
     propagate_grid,
-    propagation_deviation,
 )
 
 __version__ = "0.1.0"

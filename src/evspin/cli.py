@@ -25,11 +25,10 @@ from .dynamics import (
 from .errors import (
     ConvergenceFailureError,
     InvariantViolationError,
-    OverflowRiskError,
     SingularMatrixError,
     SingularQuorumError,
 )
-from .quorum import QuorumConfig, build_quorum, default_config, gram_condition
+from .quorum import QuorumConfig, build_quorum, default_config
 from .representation import PVector, pvec_to_rho, rho_to_pvec
 from .spin import (
     Direction,
@@ -55,7 +54,6 @@ _NUMERICAL_ERRORS = (
     SingularMatrixError,
     ConvergenceFailureError,
     InvariantViolationError,
-    OverflowRiskError,
 )
 
 
@@ -316,15 +314,14 @@ def cmd_quorum(args):
     spin = _parse_spin(cfg)
     qconfig = _parse_quorum_config(cfg, spin)
     quorum = build_quorum(qconfig)
-    min_eig, condition = gram_condition(quorum)
     fmt = _resolve_format(cfg, args)
 
     meta = [
         ("config_hash", _config_hash(cfg)),
         ("two_s", spin.two_s),
         ("n_points", quorum.size),
-        ("condition_number", _fmt(condition)),
-        ("min_gram_eigenvalue", _fmt(min_eig)),
+        ("condition_number", _fmt(quorum.condition_number)),
+        ("min_gram_eigenvalue", _fmt(quorum.min_gram_eigenvalue)),
         ("duality_residual", _fmt(quorum.duality_residual)),
         ("identity_expansion_residual", _fmt(quorum.identity_residual)),
     ]

@@ -13,6 +13,9 @@ Hamiltonian eigenprojectors are the flow's fixed points.
 
 Both defining forms of M (the coherent-state sandwich and the trace form)
 are computed and compared at build time; the trace form is the one kept.
+M is never eigendecomposed numerically: its eigenbasis follows in closed
+form from that of H, is certified against M at build time, and carries all
+exact propagation.
 """
 
 import math
@@ -22,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConvergenceFailureError,
     DegenerateSpectrumWarning,
     DimensionMismatchError,
     InvariantViolationError,
     MethodUnsupportedError,
+    NotHermitianError,
 )
-from .linalg import expm_real, hermitian_eigendecomposition, settings
+from .linalg import hermitian_eigendecomposition, hermiticity_deviation, settings
 from .representation import PVector, rho_to_pvec
 from .spin import _freeze, evolve_density_matrix
 
@@ -43,7 +46,6 @@ __all__ = [
     "propagate_exact",
     "propagate_grid",
     "fixed_points",
-    "propagation_deviation",
 ]
 
 
@@ -68,16 +70,30 @@ def bohr_spectrum(h_eigenvalues):
 class Generator:
     """Real (2s+1)^2 x (2s+1)^2 generator of the probability flow.
 
-    Carries the Hamiltonian it was built from plus the residuals of the
-    build-time self-checks (imaginary part of the trace formula, deviation
-    between the two defining forms, conservation functional, Bohr-spectrum
-    match).
+    Carries the Hamiltonian it was built from, the certified eigenbasis of
+    M, and the residuals of the build-time self-checks (imaginary part of
+    the trace formula, deviation between the two defining forms,
+    conservation functional, eigenbasis certificate).
+
+    With H = sum_j eps_j |j><j| and the pair index jk = j * (2s+1) + k:
+
+    * ``eigenvalues[jk] = -i (eps_j - eps_k)``, the Bohr frequencies;
+    * ``eigenvectors[n, jk] = <n|j><k|n>``, the P-image of |j><k|;
+    * ``left_eigenvectors[jk, n] = <j|dual_n|k> / (2s+1)``, the inverse of
+      ``eigenvectors`` (their product the other way round is the duality
+      matrix that ``build_quorum`` verifies).
+
+    ``bohr_deviation`` is the certificate residual max |M V - V Lambda| of
+    that basis against the stored M.
     """
 
     matrix: np.ndarray
     quorum: object
     hamiltonian: np.ndarray
     h_eigenvalues: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    left_eigenvectors: np.ndarray
     imag_residue: float
     cross_check_deviation: float
     conservation_residual: float
@@ -113,14 +129,33 @@ def build_generator(hmat, quorum):
 
     The trace form i/(2s+1) Tr[H [Q_n, dual_n']] and the sandwich form
     i/(2s+1) <n_n|[dual_n', H]|n_n> are evaluated through different
-    contractions and compared; realness, e^T M = 0, and the Bohr-spectrum
-    identity are all enforced before the object is returned.
+    contractions and compared; realness and e^T M = 0 are enforced, and the
+    closed-form eigenbasis of M (see ``Generator``) is certified, before the
+    object is returned.
+
+    Certificate tolerance.  In exact arithmetic M V = V Lambda; the
+    residual is the rounding made in forming M.  Each trace in M is a sum
+    of d^2 products of an entry of H Q_n (at most |H| = max |eps_j|) with
+    an entry of a dual (at most D, the largest dual entry), whose absolute
+    values add up to at most d |H| D (Cauchy-Schwarz on the Frobenius
+    norms).  With a summation error growing like the square root of the
+    d^2 terms, each trace is off by about d eps * d |H| D, and the
+    difference of two traces divided by d puts 2 d eps |H| D on every entry
+    of M.  An entry of M V adds N = d^2 of those against |V| <= 1, so
+
+        max |M V - V Lambda| <= 2 N d eps |H| D,
+
+    eps being the unit roundoff.  The backward error of eigh in V (about
+    d eps |H| per pair) is smaller by the factor N D.  For 2s <= 10 the
+    measured residual stays below a fifth of this bound for random,
+    degenerate and field-only H.  No eigenvalue gap enters, so degenerate
+    H (sz, 0) is certified like any other.
     """
     hmat = np.asarray(hmat, dtype=complex)
     if hmat.shape != (quorum.dim, quorum.dim):
         raise DimensionMismatchError(
             f"Hamiltonian is {hmat.shape}, quorum expects {quorum.dim}x{quorum.dim}")
-    h_eigenvalues, _ = hermitian_eigendecomposition(hmat)
+    h_eigenvalues, h_eigenvectors = hermitian_eigendecomposition(hmat)
 
     d = quorum.dim
     projectors = quorum.projectors
@@ -162,20 +197,29 @@ def build_generator(hmat, quorum):
         raise InvariantViolationError(
             f"conservation functional violated after projection: {conservation:.3e}")
 
-    try:
-        m_eigs = np.linalg.eigvals(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(str(exc)) from exc
-    bohr_dev = float(np.max(np.abs(_lexsorted(m_eigs) - bohr_spectrum(h_eigenvalues))))
-    if bohr_dev > settings.spectrum_tol:
+    size = quorum.size
+    overlaps = psi.conj() @ h_eigenvectors  # <n|j>
+    eigenvectors = (overlaps[:, :, None] * overlaps.conj()[:, None, :]).reshape(size, size)
+    left = h_eigenvectors.conj().T @ duals @ h_eigenvectors / d
+    left_eigenvectors = np.ascontiguousarray(left.reshape(size, size).T)
+    eigenvalues = np.zeros(size, dtype=complex)
+    eigenvalues.imag = (h_eigenvalues[None, :] - h_eigenvalues[:, None]).reshape(-1)
+    bohr_dev = float(np.max(np.abs(matrix @ eigenvectors - eigenvectors * eigenvalues)))
+    h_norm = float(np.max(np.abs(h_eigenvalues)))
+    bohr_tol = 2 * size * d * np.finfo(float).eps * h_norm * float(np.max(np.abs(duals)))
+    if bohr_dev > bohr_tol:
         raise InvariantViolationError(
-            f"generator spectrum deviates from Bohr frequencies by {bohr_dev:.3e}")
+            f"generator eigenbasis certificate failed: max |M V - V Lambda| = "
+            f"{bohr_dev:.3e} exceeds {bohr_tol:.3e}")
 
     return Generator(
         matrix=_freeze(matrix),
         quorum=quorum,
         hamiltonian=_freeze(hmat.copy()),
         h_eigenvalues=_freeze(h_eigenvalues),
+        eigenvalues=_freeze(eigenvalues),
+        eigenvectors=_freeze(eigenvectors),
+        left_eigenvectors=_freeze(left_eigenvectors),
         imag_residue=imag_residue,
         cross_check_deviation=cross,
         conservation_residual=conservation,
@@ -195,15 +239,29 @@ def build_driven_generator(spec, ops, quorum):
 
 
 def generator_eigenvalues(gen):
-    """Eigenvalues of M, lexsorted by (imaginary, real) part."""
-    return _lexsorted(np.linalg.eigvals(gen.matrix))
+    """Certified eigenvalues of M, lexsorted by (imaginary, real) part."""
+    return _lexsorted(gen.eigenvalues)
+
+
+def _flow(gen, p0, dts):
+    """Rows exp(dt M) P0 for every dt in ``dts``, through M's eigenbasis.
+
+    exp(dt M) = V exp(dt Lambda) W and V W = 1, written as
+    P0 + Re(V (expm1(dt Lambda) * W P0)): the stationary modes
+    (Lambda = 0) contribute exactly nothing, so dt = 0 and H = 0 return P0
+    exactly.  Lambda is purely imaginary, so nothing grows with dt.
+    """
+    coefficients = gen.left_eigenvectors @ p0
+    modes = np.expm1(np.multiply.outer(dts, gen.eigenvalues))
+    modes *= coefficients
+    return p0 + (modes @ gen.eigenvectors.T).real
 
 
 def propagate_exact(gen, p0, t):
-    """P(t) = exp(t M) P0 through the real matrix exponential."""
+    """P(t) = exp(t M) P0 through the certified eigenbasis of M."""
     if p0.quorum is not gen.quorum:
         raise DimensionMismatchError("initial vector belongs to a different quorum")
-    return PVector(expm_real(gen.matrix, t) @ p0.values, gen.quorum)
+    return PVector(_flow(gen, p0.values, np.array([float(t)]))[0], gen.quorum)
 
 
 @dataclass(frozen=True)
@@ -234,32 +292,6 @@ class Trajectory:
         return float(np.max(np.abs(self.e_dot_p - self.e_dot_p[0])))
 
 
-def _exact_grid(matrix, p0, dts):
-    """Propagate through one eigendecomposition of M, shared across the grid.
-
-    M is similar to the (diagonalizable) commutator superoperator, so a
-    complex eigendecomposition exists; if the numerical one reconstructs M
-    poorly the routine falls back to one exponential per grid time.
-    """
-    out = np.empty((dts.size, p0.size))
-    out[0] = p0
-    scale = max(1.0, float(np.max(np.abs(matrix))))
-    try:
-        w, vr = np.linalg.eig(matrix)
-        recon = (vr * w) @ np.linalg.inv(vr)
-        ok = float(np.max(np.abs(recon - matrix))) <= 1e-10 * scale
-    except np.linalg.LinAlgError:
-        ok = False
-    if ok:
-        c = np.linalg.solve(vr, p0.astype(complex))
-        for i in range(1, dts.size):
-            out[i] = ((np.exp(w * dts[i]) * c) @ vr.T).real
-        return out
-    for i in range(1, dts.size):
-        out[i] = expm_real(matrix, dts[i]) @ p0
-    return out
-
-
 def _rk4_step(mfun, t, p, h):
     k1 = mfun(t) @ p
     k2 = mfun(t + h / 2.0) @ (p + (h / 2.0) * k1)
@@ -280,13 +312,14 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
     times : array_like
         Strictly increasing grid; the first entry is the initial time.
     method : {"exact-expm", "rk4"}
-        Exact propagation reuses a single eigendecomposition of M across the
-        whole grid.  rk4 advances with fixed step h = (smallest grid gap) /
-        substeps, re-evaluating M(t) at every stage time.
+        Exact propagation applies exp(t M) through the generator's certified
+        eigenbasis, for the whole grid in one product.  rk4 advances with
+        fixed step h = (smallest grid gap) / substeps, re-evaluating M(t) at
+        every stage time.
     oracle : (d, d) array_like, optional
         Initial density matrix; when given (autonomous generators only) the
         trajectory carries the per-time deviation from direct density-matrix
-        propagation.
+        propagation, which uses neither M nor the duals.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -309,7 +342,7 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
         raise ValueError("substeps must be >= 1")
 
     if method == "exact-expm":
-        values = _exact_grid(gen.matrix, p0.values, times - times[0])
+        values = _flow(gen, p0.values, times - times[0])
     else:
         values = np.empty((times.size, p0.values.size))
         values[0] = p0.values
@@ -335,13 +368,15 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
     oracle_dev = None
     if oracle is not None:
         oracle = np.asarray(oracle, dtype=complex)
-        hmat = gen.hamiltonian
-        oracle_dev = np.empty(times.size)
-        for i, t in enumerate(times):
-            rho_t = evolve_density_matrix(oracle, hmat, t - times[0])
-            reference = rho_to_pvec(rho_t, gen.quorum).values
-            oracle_dev[i] = float(np.max(np.abs(values[i] - reference)))
-        oracle_dev = _freeze(oracle_dev)
+        dev = hermiticity_deviation(oracle)
+        if dev > settings.hermiticity_tol:
+            raise NotHermitianError(f"oracle density matrix asymmetric by {dev:.3e}")
+        rho_t = evolve_density_matrix(oracle, gen.hamiltonian, times - times[0])
+        # P_n(t) = Tr[Q_n rho(t)] for all n and t in one product.
+        q = gen.quorum
+        flat_projectors = q.projectors.conj().reshape(q.size, q.dim * q.dim)
+        reference = rho_t.reshape(times.size, q.dim * q.dim) @ flat_projectors.T
+        oracle_dev = _freeze(np.max(np.abs(values - reference.real), axis=1))
 
     return Trajectory(
         times=_freeze(times.copy()),
@@ -380,24 +415,3 @@ def fixed_points(hmat, quorum):
         projector = np.outer(vecs[:, k], vecs[:, k].conj())
         points.append(rho_to_pvec(projector, quorum))
     return points
-
-
-def propagation_deviation(gen, rho0, hmat, times):
-    """Largest |P_n(t) - <n_n|rho(t)|n_n>| over the grid.
-
-    P(t) comes from the linear flow exp(t M); rho(t) from direct
-    density-matrix propagation under ``hmat``.  Agreement of the two
-    independent routes is the operational meaning of the representation
-    being faithful.
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    hmat = gen.hamiltonian if hmat is None else np.asarray(hmat, dtype=complex)
-    times = np.asarray(times, dtype=float)
-    p0 = rho_to_pvec(rho0, gen.quorum)
-    trajectory = propagate_grid(gen, p0, times, method="exact-expm")
-    dev = 0.0
-    for i, t in enumerate(times):
-        rho_t = evolve_density_matrix(rho0, hmat, t - times[0])
-        reference = rho_to_pvec(rho_t, gen.quorum).values
-        dev = max(dev, float(np.max(np.abs(trajectory.values[i] - reference))))
-    return dev

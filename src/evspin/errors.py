@@ -10,7 +10,7 @@ class NotHermitianError(ValueError):
 
 
 class ConvergenceFailureError(RuntimeError):
-    """An iterative eigenvalue or exponential routine failed to converge."""
+    """An iterative eigenvalue routine failed to converge."""
 
 
 class SingularMatrixError(RuntimeError):
@@ -19,10 +19,6 @@ class SingularMatrixError(RuntimeError):
     def __init__(self, message, condition_estimate=float("inf")):
         super().__init__(message)
         self.condition_estimate = condition_estimate
-
-
-class OverflowRiskError(ValueError):
-    """A matrix-exponential argument is large enough to overflow doubles."""
 
 
 class NonSymmetricCouplingError(ValueError):

@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels used throughout the package.
 
 Thin, contract-enforcing wrappers around numpy/scipy: Hermitian
-eigendecomposition, symmetric positive-definite solves with iterative
-refinement, and the real matrix exponential.  All tolerances live in the
-single mutable ``settings`` instance so they can be adjusted in one place.
+eigendecomposition and symmetric positive-definite solves.  All tolerances
+live in the single mutable ``settings`` instance so they can be adjusted in
+one place.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,6 @@ from .errors import (
     ConvergenceFailureError,
     DimensionMismatchError,
     NotHermitianError,
-    OverflowRiskError,
     SingularMatrixError,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "hermiticity_deviation",
     "hermitian_eigendecomposition",
     "solve_spd",
-    "expm_real",
 ]
 
 
@@ -45,11 +43,8 @@ class Settings:
     duality_tol: float = 1e-9
     conservation_tol: float = 1e-9
     identity_expansion_tol: float = 1e-8
-    spectrum_tol: float = 1e-8
     degeneracy_tol: float = 1e-9
     condition_warn_threshold: float = 1e8
-    expm_norm_bound: float = 700.0
-    refine_steps: int = 2
 
 
 settings = Settings()
@@ -126,15 +121,14 @@ def _spd_condition_estimate(g):
 def solve_spd(g, b):
     """Solve ``G X = B`` for symmetric positive-definite ``G``.
 
-    Uses a Cholesky factorization followed by iterative refinement until the
-    max-norm residual drops below ``settings.residual_tol * max|B|``.  ``B``
-    may be real or complex (the refinement handles either); ``G`` must be
-    real symmetric.
+    One Cholesky factorization and solve; the max-norm residual must lie
+    below ``settings.residual_tol * max|B|``.  ``B`` may be real or
+    complex; ``G`` must be real symmetric.
 
     Raises
     ------
     SingularMatrixError
-        If ``G`` is not positive definite, or the residual target cannot be
+        If ``G`` is not positive definite, or the residual target is not
         met.  The exception carries ``condition_estimate``.
     """
     g = _as_square(g, "gram")
@@ -158,51 +152,10 @@ def solve_spd(g, b):
     scale = float(np.max(np.abs(b))) if b.size else 0.0
     if scale == 0.0:
         return np.zeros_like(x)
-    for _ in range(settings.refine_steps):
-        residual = b - g @ x
-        if float(np.max(np.abs(residual))) <= settings.residual_tol * scale:
-            return x
-        x = x + scipy.linalg.cho_solve(factor, residual)
     residual = float(np.max(np.abs(b - g @ x)))
     if residual > settings.residual_tol * scale:
         raise SingularMatrixError(
-            f"residual {residual:.3e} still exceeds "
-            f"{settings.residual_tol:.1e} * |B| after refinement",
+            f"residual {residual:.3e} exceeds {settings.residual_tol:.1e} * |B|",
             condition_estimate=_spd_condition_estimate(g))
     return x
 
-
-def expm_real(m, t=1.0):
-    """Exponential ``exp(t M)`` of a real square matrix.
-
-    ``exp(0 * M)`` is the identity exactly (special-cased, no rounding), and
-    the group property ``exp((t1 + t2) M) = exp(t1 M) exp(t2 M)`` holds to
-    about 1e-9 for moderate ``|t| <= 10`` and well-scaled ``M``.  The method
-    (scaling-and-squaring with Pade approximants via scipy) is an
-    implementation detail; only the contract above is promised.
-
-    Raises
-    ------
-    OverflowRiskError
-        If ``|t M|_1`` exceeds ``settings.expm_norm_bound`` (default 700,
-        just under log of the largest double), before any scaling.
-    """
-    m = _as_square(m, "generator")
-    if np.iscomplexobj(m):
-        if m.size and float(np.max(np.abs(m.imag))) > 0.0:
-            raise ValueError("expected a real matrix")
-        m = m.real
-    m = np.asarray(m, dtype=float)
-    if m.size and not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    t = float(t)
-    if m.size == 0:
-        return np.eye(m.shape[0])
-    if t == 0.0 or float(np.max(np.abs(m))) == 0.0:
-        return np.eye(m.shape[0])
-    scaled_norm = float(np.linalg.norm(t * m, 1))
-    if scaled_norm > settings.expm_norm_bound:
-        raise OverflowRiskError(
-            f"|t*M|_1 = {scaled_norm:.3e} exceeds the overflow guard "
-            f"{settings.expm_norm_bound:.0f}")
-    return scipy.linalg.expm(t * m)

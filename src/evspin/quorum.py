@@ -29,7 +29,6 @@ __all__ = [
     "Quorum",
     "default_config",
     "build_quorum",
-    "gram_condition",
     "quorum_to_document",
     "quorum_from_document",
 ]
@@ -203,7 +202,9 @@ def build_quorum(config, ops=None):
     duality_residual = float(np.max(np.abs(delta - np.eye(size))))
     if duality_residual > settings.duality_tol:
         raise InvariantViolationError(
-            f"duality residual {duality_residual:.3e} exceeds {settings.duality_tol:.1e}")
+            f"duality residual {duality_residual:.3e} exceeds {settings.duality_tol:.1e} "
+            f"at 2s = {spin.two_s} (Gram condition number {condition:.2e}): the direction "
+            "layout is too ill-conditioned at this spin")
 
     raw_traces = np.einsum("nii->n", duals)
     trace_imag = float(np.max(np.abs(raw_traces.imag)))
@@ -230,12 +231,6 @@ def build_quorum(config, ops=None):
         duality_residual=duality_residual,
         identity_residual=identity_residual,
     )
-
-
-def gram_condition(quorum):
-    """(smallest eigenvalue, condition number) of the Gram matrix."""
-    eigs = np.linalg.eigvalsh(quorum.gram)
-    return float(eigs[0]), float(eigs[-1] / eigs[0])
 
 
 def quorum_to_document(quorum):

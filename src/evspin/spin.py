@@ -384,11 +384,14 @@ def evolve_density_matrix(rho0, hmat, t):
 
     Conjugation by U = exp(-i H t), with U built from the
     eigendecomposition of H; preserves trace, Hermiticity, and spectrum.
+    ``t`` may also be a 1-D array of times: H is diagonalised once and the
+    result is the stack of rho(t), shape (len(t), d, d).
     """
     rho0 = np.asarray(rho0, dtype=complex)
     w, v = hermitian_eigendecomposition(hmat)
     if rho0.shape != (w.size, w.size):
         raise DimensionMismatchError(
             f"state is {rho0.shape}, Hamiltonian is {w.size}x{w.size}")
-    u = (v * np.exp(-1j * w * float(t))) @ v.conj().T
-    return u @ rho0 @ u.conj().T
+    t = np.asarray(t, dtype=float)
+    u = (v * np.exp(-1j * w * t[..., None])[..., None, :]) @ v.conj().T
+    return u @ rho0 @ np.swapaxes(u.conj(), -1, -2)

@@ -20,10 +20,8 @@ from evspin import (
     coherent_state,
     Direction,
     fixed_points,
-    gram_condition,
     propagate_exact,
     propagate_grid,
-    propagation_deviation,
     pure_state_density,
     random_density_matrix,
     random_hermitian,
@@ -130,8 +128,9 @@ class TestAcceptance:
                 h = random_hermitian(q.dim, rng)
                 rho0 = random_density_matrix(q.dim, rng)
                 gen = build_generator(h, q)
-                dev = propagation_deviation(gen, rho0, h, np.linspace(0.0, 10.0, 100))
-                worst = max(worst, dev)
+                trajectory = propagate_grid(gen, rho_to_pvec(rho0, q),
+                                            np.linspace(0.0, 10.0, 100), oracle=rho0)
+                worst = max(worst, float(np.max(trajectory.oracle_dev)))
         elapsed = time.monotonic() - started
         assert worst < 1e-7
         assert elapsed < 30.0
@@ -186,7 +185,8 @@ class TestAcceptance:
     def test_c10_gram_positive_definite(self, quorum_for):
         worst_cond = 0.0
         for two_s in HALF_INTEGER_RANGE:
-            min_eig, condition = gram_condition(quorum_for(two_s))
+            q = quorum_for(two_s)
+            min_eig, condition = q.min_gram_eigenvalue, q.condition_number
             assert min_eig > 0.0
             assert condition < 1e8
             worst_cond = max(worst_cond, condition)

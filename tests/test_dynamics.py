@@ -18,18 +18,19 @@ from evspin import (
     convex_mix,
     coherent_state,
     Direction,
+    evolve_density_matrix,
     fixed_points,
     generator_eigenvalues,
     maximally_mixed,
     propagate_exact,
     propagate_grid,
-    propagation_deviation,
     pure_state_density,
     random_density_matrix,
     random_hermitian,
     rho_to_pvec,
     spin_operators,
 )
+from evspin.dynamics import _lexsorted
 
 
 def larmor_setup(quorum_for, omega=1.0):
@@ -54,7 +55,7 @@ class TestBuildGenerator:
     def test_larmor_spectrum(self, quorum_for):
         omega = 1.3
         _, gen, _ = larmor_setup(quorum_for, omega)
-        eigs = generator_eigenvalues(gen)
+        eigs = _lexsorted(np.linalg.eigvals(gen.matrix))
         expected = np.array([-1j * omega, 0.0, 0.0, 1j * omega])
         np.testing.assert_allclose(eigs, expected, atol=1e-10)
 
@@ -83,7 +84,8 @@ class TestBuildGenerator:
         h = build_hamiltonian(HamiltonianSpec(linear=(0.4, 0.0, 1.0)), ops)
         gen = build_generator(h, q)
         diffs = bohr_spectrum(gen.h_eigenvalues)
-        np.testing.assert_allclose(generator_eigenvalues(gen), diffs, atol=1e-8)
+        np.testing.assert_allclose(_lexsorted(np.linalg.eigvals(gen.matrix)), diffs, atol=1e-8)
+        np.testing.assert_allclose(generator_eigenvalues(gen), diffs, atol=1e-12)
 
     def test_non_hermitian_rejected(self, quorum_for):
         from evspin import NotHermitianError
@@ -117,6 +119,20 @@ class TestPropagateExact:
         p0 = rho_to_pvec(plus_x, q)
         p_final = propagate_exact(gen, p0, 2 * math.pi / omega)
         assert np.max(np.abs(p_final.values - p0.values)) < 1e-8
+
+    def test_no_overflow_at_long_times(self, quorum_for):
+        # |t M|_1 is about 1.4e3 here; exp(t M) stays bounded because the
+        # spectrum of M is purely imaginary.
+        q = quorum_for(4)
+        ops = spin_operators(Spin(4))
+        h = np.asarray(ops.sz) + 0.3 * np.asarray(ops.sx)
+        gen = build_generator(h, q)
+        rho0 = pure_state_density(coherent_state(Spin(4), Direction(1.0, 0.4)).amplitudes)
+        p0 = rho_to_pvec(rho0, q)
+        pt = propagate_exact(gen, p0, 50.0)
+        reference = rho_to_pvec(evolve_density_matrix(rho0, h, 50.0), q)
+        assert np.max(np.abs(pt.values - reference.values)) < 1e-7
+        assert abs(pt.normalization - p0.normalization) < 1e-8
 
     def test_normalization_conserved(self, quorum_for):
         q = quorum_for(3)
@@ -292,14 +308,15 @@ class TestOracleComparison:
         gen = build_generator(h, q)
         rho = np.zeros((3, 3), dtype=complex)
         rho[0, 0] = 1.0
-        dev = propagation_deviation(gen, rho, h, np.linspace(0, 8, 30))
-        assert dev < 1e-10
+        traj = propagate_grid(gen, rho_to_pvec(rho, q), np.linspace(0, 8, 30), oracle=rho)
+        assert float(np.max(traj.oracle_dev)) < 1e-10
 
     def test_larmor_three_periods(self, quorum_for):
         omega = 1.0
         q, gen, plus_x = larmor_setup(quorum_for, omega)
         times = np.linspace(0.0, 3 * 2 * math.pi / omega, 100)
-        assert propagation_deviation(gen, plus_x, gen.hamiltonian, times) < 1e-8
+        traj = propagate_grid(gen, rho_to_pvec(plus_x, q), times, oracle=plus_x)
+        assert float(np.max(traj.oracle_dev)) < 1e-8
 
     def test_random_spin_two(self, quorum_for):
         q = quorum_for(4)
@@ -307,8 +324,16 @@ class TestOracleComparison:
         h = random_hermitian(q.dim, rng)
         rho0 = random_density_matrix(q.dim, rng)
         gen = build_generator(h, q)
-        dev = propagation_deviation(gen, rho0, h, np.linspace(0.0, 10.0, 100))
-        assert dev < 1e-7
+        traj = propagate_grid(gen, rho_to_pvec(rho0, q), np.linspace(0.0, 10.0, 100),
+                              oracle=rho0)
+        assert float(np.max(traj.oracle_dev)) < 1e-7
+
+    def test_non_hermitian_oracle_rejected(self, quorum_for):
+        from evspin import NotHermitianError
+        q, gen, plus_x = larmor_setup(quorum_for)
+        skewed = plus_x + np.array([[0.0, 0.1], [0.0, 0.0]])
+        with pytest.raises(NotHermitianError):
+            propagate_grid(gen, rho_to_pvec(plus_x, q), np.linspace(0, 1, 5), oracle=skewed)
 
     def test_oracle_monitor_column(self, quorum_for):
         q, gen, plus_x = larmor_setup(quorum_for)

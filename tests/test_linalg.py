@@ -3,11 +3,15 @@ import pytest
 
 from evspin import (
     NotHermitianError,
-    OverflowRiskError,
     SingularMatrixError,
-    expm_real,
+    Spin,
+    build_generator,
     hermitian_eigendecomposition,
+    propagate_exact,
+    random_density_matrix,
+    rho_to_pvec,
     solve_spd,
+    spin_operators,
 )
 
 
@@ -89,34 +93,47 @@ class TestSolveSpd:
 
 
 class TestExpmReal:
-    def test_zero_generator_exact(self):
-        m = np.zeros((3, 3))
-        assert np.array_equal(expm_real(m, 1.7), np.eye(3))
+    """The real exponential exp(t M) behind method "exact-expm".
 
-    def test_zero_time_exact(self):
+    It is applied through the generator's certified eigenbasis by
+    ``propagate_exact``; these are its contracts on the flow.
+    """
+
+    def test_zero_generator_exact(self, quorum_for):
+        q = quorum_for(2)
+        gen = build_generator(np.zeros((3, 3)), q)
+        p0 = rho_to_pvec(random_density_matrix(3, np.random.default_rng(1)), q)
+        assert np.array_equal(propagate_exact(gen, p0, 1.7).values, p0.values)
+
+    def test_zero_time_exact(self, quorum_for):
+        q = quorum_for(3)
         rng = np.random.default_rng(1)
-        m = rng.standard_normal((4, 4))
-        assert np.array_equal(expm_real(m, 0.0), np.eye(4))
+        gen = build_generator(random_hermitian(4, rng), q)
+        p0 = rho_to_pvec(random_density_matrix(4, rng), q)
+        assert np.array_equal(propagate_exact(gen, p0, 0.0).values, p0.values)
 
     @pytest.mark.parametrize("omega,t", [(1.0, 0.3), (2.5, -1.2), (0.7, 4.0)])
-    def test_planar_rotation(self, omega, t):
-        m = np.array([[0.0, -omega], [omega, 0.0]])
-        expected = np.array([[np.cos(omega * t), -np.sin(omega * t)],
-                             [np.sin(omega * t), np.cos(omega * t)]])
-        np.testing.assert_allclose(expm_real(m, t), expected, atol=1e-12)
+    def test_planar_rotation(self, quorum_for, omega, t):
+        # s = 1/2, H = omega sz: the Bloch vector r turns about z by omega t,
+        # and P_n = (1 + n . r) / 2 for the unit vector n of direction n.
+        q = quorum_for(1)
+        gen = build_generator(omega * np.asarray(spin_operators(Spin(1)).sz), q)
+        r0 = np.array([0.6, -0.2, 0.3])
+        sigma = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                 np.array([[1, 0], [0, -1]])]
+        rho0 = (np.eye(2) + sum(r * s for r, s in zip(r0, sigma))) / 2
+        c, s = np.cos(omega * t), np.sin(omega * t)
+        r_t = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ r0
+        units = np.array([d.unit_vector for d in q.directions])
+        pt = propagate_exact(gen, rho_to_pvec(rho0, q), t)
+        np.testing.assert_allclose(pt.values, (1.0 + units @ r_t) / 2.0, atol=1e-12)
 
-    def test_group_property(self):
+    def test_group_property(self, quorum_for):
+        q = quorum_for(4)
         rng = np.random.default_rng(2)
-        m = 0.03 * rng.standard_normal((5, 5))
+        gen = build_generator(random_hermitian(5, rng), q)
+        p0 = rho_to_pvec(random_density_matrix(5, rng), q)
         for t1, t2 in [(0.5, 0.25), (3.0, 7.0), (-4.0, 9.5)]:
-            lhs = expm_real(m, t1 + t2)
-            rhs = expm_real(m, t1) @ expm_real(m, t2)
-            assert np.max(np.abs(lhs - rhs)) < 1e-9
-
-    def test_overflow_guard(self):
-        with pytest.raises(OverflowRiskError):
-            expm_real(np.eye(2), 1e4)
-
-    def test_complex_input_rejected(self):
-        with pytest.raises(ValueError):
-            expm_real(np.array([[0.0, 1j], [-1j, 0.0]]), 1.0)
+            lhs = propagate_exact(gen, p0, t1 + t2)
+            rhs = propagate_exact(gen, propagate_exact(gen, p0, t1), t2)
+            assert np.max(np.abs(lhs.values - rhs.values)) < 1e-9

@@ -9,7 +9,6 @@ from evspin import (
     SingularQuorumError,
     build_quorum,
     default_config,
-    gram_condition,
     quorum_from_document,
     quorum_to_document,
     settings,
@@ -108,8 +107,7 @@ class TestBuildQuorum:
     def test_spin_half_gram_diagonal(self, quorum_for):
         q = quorum_for(1)
         np.testing.assert_allclose(np.diag(q.gram), 1.0, atol=1e-14)
-        min_eig, _ = gram_condition(q)
-        assert min_eig > 0
+        assert q.min_gram_eigenvalue > 0
 
     @pytest.mark.parametrize("two_s", range(11))
     def test_duality_and_identity(self, quorum_for, two_s):
@@ -126,12 +124,13 @@ class TestBuildQuorum:
 
     @pytest.mark.parametrize("two_s", range(11))
     def test_positive_definite_default(self, quorum_for, two_s):
-        min_eig, condition = gram_condition(quorum_for(two_s))
-        assert min_eig > 0
-        assert condition < 1e8
+        q = quorum_for(two_s)
+        assert q.min_gram_eigenvalue > 0
+        assert q.condition_number < 1e8
 
     def test_scalar_gram_condition(self, quorum_for):
-        assert gram_condition(quorum_for(0)) == (1.0, 1.0)
+        q = quorum_for(0)
+        assert (q.min_gram_eigenvalue, q.condition_number) == (1.0, 1.0)
 
     def test_duplicate_directions_singular(self):
         cfg = QuorumConfig(Spin(1), (1.0, 1.0), (0.5, 0.5))

@@ -245,6 +245,17 @@ class TestDensityEvolution:
         evolved = evolve_density_matrix(plus_x, omega * ops.sz, math.pi / omega)
         np.testing.assert_allclose(evolved, minus_x, atol=1e-12)
 
+    def test_time_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        ops = spin_operators(Spin(3))
+        h = build_hamiltonian(HamiltonianSpec(linear=(0.3, -1.1, 0.8)), ops)
+        rho = random_density_matrix(4, rng)
+        times = np.array([0.0, 0.4, 3.0, 17.0])
+        stacked = evolve_density_matrix(rho, h, times)
+        assert stacked.shape == (4, 4, 4)
+        for t, evolved in zip(times, stacked):
+            np.testing.assert_allclose(evolved, evolve_density_matrix(rho, h, t), atol=1e-13)
+
     def test_preserves_trace_hermiticity_spectrum(self):
         rng = np.random.default_rng(4)
         ops = spin_operators(Spin(3))
