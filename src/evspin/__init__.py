@@ -39,6 +39,7 @@ from .spin import (
     SpinOperators,
     basis_state,
     build_hamiltonian,
+    coherent_amplitudes,
     coherent_overlap,
     coherent_state,
     evolve_density_matrix,

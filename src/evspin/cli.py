@@ -65,6 +65,12 @@ def _fmt(x):
     return format(float(x), ".17e")
 
 
+def _fmt_rows(table):
+    """CSV lines of a 2-D float array, every value written exactly as ``_fmt`` would."""
+    template = ",".join(["%.17e"] * table.shape[1])
+    return [template % tuple(row) for row in table.tolist()]
+
+
 def _config_hash(cfg):
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -297,9 +303,10 @@ def _write_text(path, text):
 
 
 def _csv_document(meta, header, rows):
+    """Preamble, header and ``rows``, each row an already joined line."""
     lines = [f"# {key} = {value}" for key, value in meta]
     lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(rows)
     return "\n".join(lines) + "\n"
 
 
@@ -333,7 +340,7 @@ def cmd_quorum(args):
             rows.append([str(n), str(n // spin.dim), str(n % spin.dim),
                          _fmt(direction.theta), _fmt(direction.phi)])
         text = _csv_document(meta + [(k, json.dumps(v)) for k, v in angles],
-                             ["n", "cone", "azimuth", "theta", "phi"], rows)
+                             ["n", "cone", "azimuth", "theta", "phi"], map(",".join, rows))
     else:
         records = [{"n": n, "cone": n // spin.dim, "azimuth": n % spin.dim,
                     "theta": d.theta, "phi": d.phi}
@@ -367,7 +374,7 @@ def cmd_spectrum(args):
     if fmt == "csv":
         rows = [["H", str(i), _fmt(e), _fmt(0.0)] for i, e in enumerate(h_eigs)]
         rows += [["M", str(i), _fmt(z.real), _fmt(z.imag)] for i, z in enumerate(m_eigs)]
-        text = _csv_document(meta, ["matrix", "index", "real", "imag"], rows)
+        text = _csv_document(meta, ["matrix", "index", "real", "imag"], map(",".join, rows))
     else:
         records = [{"matrix": "H", "index": i, "real": float(e), "imag": 0.0}
                    for i, e in enumerate(h_eigs)]
@@ -394,7 +401,7 @@ def cmd_reconstruct(args):
         meta.append(("e_dot_p", _fmt(p0.normalization)))
         if fmt == "csv":
             rows = [[str(n), _fmt(v)] for n, v in enumerate(p0.values)]
-            text = _csv_document(meta, ["n", "P_n"], rows)
+            text = _csv_document(meta, ["n", "P_n"], map(",".join, rows))
         else:
             records = [{"n": n, "P": float(v)} for n, v in enumerate(p0.values)]
             text = _jsonl_document(meta, records)
@@ -412,7 +419,7 @@ def cmd_reconstruct(args):
         if fmt == "csv":
             rows = [[str(i), str(j), _fmt(rho[i, j].real), _fmt(rho[i, j].imag)]
                     for i in range(spin.dim) for j in range(spin.dim)]
-            text = _csv_document(meta, ["row", "col", "real", "imag"], rows)
+            text = _csv_document(meta, ["row", "col", "real", "imag"], map(",".join, rows))
         else:
             records = [{"row": i, "col": j,
                         "real": float(rho[i, j].real), "imag": float(rho[i, j].imag)}
@@ -461,15 +468,12 @@ def cmd_evolve(args):
     if oracle is not None:
         header.append("oracle_dev")
     if fmt == "csv":
-        rows = []
-        for i, t in enumerate(trajectory.times):
-            row = [_fmt(t)] + [_fmt(v) for v in trajectory.values[i]]
-            row += [_fmt(trajectory.e_dot_p[i]), _fmt(trajectory.p_min[i]),
-                    _fmt(trajectory.p_max[i]), _fmt(trajectory.p_sum[i])]
-            if oracle is not None:
-                row.append(_fmt(trajectory.oracle_dev[i]))
-            rows.append(row)
-        text = _csv_document(meta, header, rows)
+        columns = [trajectory.times[:, None], trajectory.values, trajectory.e_dot_p[:, None],
+                   trajectory.p_min[:, None], trajectory.p_max[:, None],
+                   trajectory.p_sum[:, None]]
+        if oracle is not None:
+            columns.append(trajectory.oracle_dev[:, None])
+        text = _csv_document(meta, header, _fmt_rows(np.hstack(columns)))
     else:
         records = []
         for i, t in enumerate(trajectory.times):

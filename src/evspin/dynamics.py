@@ -105,8 +105,10 @@ class DrivenGenerator:
     """Generator family M(t) = M_static + f(t) * M_drive.
 
     The generator is linear in the Hamiltonian, so a drive
-    H(t) = H0 + f(t) H1 needs only the two constituent generators; M(t) is
-    then assembled exactly at any stage time.
+    H(t) = H0 + f(t) H1 needs only the two constituent generators.
+    ``propagate_grid`` applies M(t) to a vector as
+    M_static P + f(t) M_drive P and never assembles it; ``matrix_at`` forms
+    the matrix at one time for inspection.
     """
 
     static: Generator
@@ -161,10 +163,20 @@ def build_generator(hmat, quorum):
     projectors = quorum.projectors
     duals = quorum.duals
 
+    # Every pair contraction Tr[A_n B_m] = sum_ik A_n[i, k] B_m[k, i] is one
+    # complex matrix product of flattened (N, d^2) stacks, A_n against B_m^T.
+    size = quorum.size
+
+    def flat(stack):
+        return stack.reshape(size, d * d)
+
+    def flat_t(stack):
+        return np.swapaxes(stack, -1, -2).reshape(size, d * d)
+
     hq = np.matmul(hmat, projectors)
     hd = np.matmul(hmat, duals)
-    t1 = np.einsum("nik,mki->nm", hq, duals)
-    t2 = np.einsum("mik,nki->nm", hd, projectors)
+    t1 = flat(hq) @ flat_t(duals).T         # Tr[H Q_n dual_m]
+    t2 = flat_t(projectors) @ flat(hd).T    # Tr[Q_n H dual_m]
     m_trace = 1j * (t1 - t2) / d
     imag_residue = float(np.max(np.abs(m_trace.imag)))
     if imag_residue > settings.realness_tol:
@@ -172,9 +184,12 @@ def build_generator(hmat, quorum):
             f"generator imaginary residue {imag_residue:.3e} exceeds "
             f"{settings.realness_tol:.1e}")
 
+    # The sandwich form reads the amplitudes, not the projectors, and takes
+    # the commutator before contracting: <n|C|n> = sum_ij conj(psi_i) C_ij psi_j.
     psi = quorum.amplitudes
+    sandwiches = flat(psi.conj()[:, :, None] * psi[:, None, :])
     commutators = np.matmul(duals, hmat) - hd
-    m_sandwich = 1j * np.einsum("ni,mij,nj->nm", psi.conj(), commutators, psi) / d
+    m_sandwich = 1j * (sandwiches @ flat(commutators).T) / d
     cross = float(np.max(np.abs(m_trace - m_sandwich)))
     if cross > settings.cross_check_tol:
         raise InvariantViolationError(
@@ -197,7 +212,6 @@ def build_generator(hmat, quorum):
         raise InvariantViolationError(
             f"conservation functional violated after projection: {conservation:.3e}")
 
-    size = quorum.size
     overlaps = psi.conj() @ h_eigenvectors  # <n|j>
     eigenvectors = (overlaps[:, :, None] * overlaps.conj()[:, None, :]).reshape(size, size)
     left = h_eigenvectors.conj().T @ duals @ h_eigenvectors / d
@@ -292,12 +306,39 @@ class Trajectory:
         return float(np.max(np.abs(self.e_dot_p - self.e_dot_p[0])))
 
 
-def _rk4_step(mfun, t, p, h):
-    k1 = mfun(t) @ p
-    k2 = mfun(t + h / 2.0) @ (p + (h / 2.0) * k1)
-    k3 = mfun(t + h / 2.0) @ (p + (h / 2.0) * k2)
-    k4 = mfun(t + h) @ (p + h * k3)
-    return p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(blocks, weights, p0, times, substeps):
+    """Fixed-step rk4 rows for dP/dt = M(t) P with M(t) = sum_b w_b(t) M_b.
+
+    ``blocks`` stacks the B matrices M_b on top of each other, (B N, N), and
+    ``weights(t)`` returns the B coefficients w_b(t), so one stage is one
+    product of the stack with the stage vector.  The weights are evaluated
+    once per distinct stage time: k2 and k3 share the midpoint, and k1
+    takes the previous step's k4 value inside a grid interval.  Stage times
+    are t, t + h/2 and t + h with t accumulated step by step from each grid
+    point, h = (grid gap) / ceil(gap / h_target).
+    """
+    values = np.empty((times.size, p0.size))
+    values[0] = p0
+    if times.size == 1:
+        return values
+    h_target = float(np.min(np.diff(times))) / substeps
+    p = p0.copy()
+    for i in range(1, times.size):
+        gap = times[i] - times[i - 1]
+        nsub = max(1, math.ceil(gap / h_target - 1e-9))
+        h = gap / nsub
+        t = times[i - 1]
+        w_end = weights(t)
+        for _ in range(nsub):
+            w_start, w_mid, w_end = w_end, weights(t + h / 2.0), weights(t + h)
+            k1 = w_start @ (blocks @ p).reshape(w_start.size, -1)
+            k2 = w_mid @ (blocks @ (p + (h / 2.0) * k1)).reshape(w_mid.size, -1)
+            k3 = w_mid @ (blocks @ (p + (h / 2.0) * k2)).reshape(w_mid.size, -1)
+            k4 = w_end @ (blocks @ (p + h * k3)).reshape(w_end.size, -1)
+            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+        values[i] = p
+    return values
 
 
 def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None):
@@ -314,8 +355,10 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
     method : {"exact-expm", "rk4"}
         Exact propagation applies exp(t M) through the generator's certified
         eigenbasis, for the whole grid in one product.  rk4 advances with
-        fixed step h = (smallest grid gap) / substeps, re-evaluating M(t) at
-        every stage time.
+        fixed step h = (smallest grid gap) / substeps; a driven stage applies
+        M(t) = M_static + f(t) M_drive as one product of the stacked
+        [M_static; M_drive] with the stage vector, combined with [1, f(t)],
+        and never forms M(t) itself.
     oracle : (d, d) array_like, optional
         Initial density matrix; when given (autonomous generators only) the
         trajectory carries the per-time deviation from direct density-matrix
@@ -343,26 +386,14 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
 
     if method == "exact-expm":
         values = _flow(gen, p0.values, times - times[0])
+    elif driven:
+        envelope = gen.envelope
+        blocks = np.vstack([gen.static.matrix, gen.drive.matrix])
+        values = _rk4(blocks, lambda t: np.array([1.0, envelope(t)]),
+                      p0.values, times, substeps)
     else:
-        values = np.empty((times.size, p0.values.size))
-        values[0] = p0.values
-        if times.size > 1:
-            h_target = float(np.min(np.diff(times))) / substeps
-            if driven:
-                mfun = gen.matrix_at
-            else:
-                matrix = gen.matrix
-                mfun = lambda _t: matrix
-            p = p0.values.copy()
-            for i in range(1, times.size):
-                gap = times[i] - times[i - 1]
-                nsub = max(1, math.ceil(gap / h_target - 1e-9))
-                h = gap / nsub
-                t = times[i - 1]
-                for _ in range(nsub):
-                    p = _rk4_step(mfun, t, p, h)
-                    t += h
-                values[i] = p
+        one = np.ones(1)
+        values = _rk4(gen.matrix, lambda _t: one, p0.values, times, substeps)
 
     e = gen.quorum.dual_traces
     oracle_dev = None

@@ -59,28 +59,30 @@ def _as_square(a, name="matrix"):
 
 
 def hermiticity_deviation(a):
-    """Largest entrywise deviation |A - A^dagger|."""
+    """Largest entrywise deviation |A - A^dagger| over a matrix or a stack (..., d, d)."""
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a - a.conj().T)))
+    return float(np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2))))
 
 
 def hermitian_eigendecomposition(a):
-    """Eigen-decompose a Hermitian matrix.
+    """Eigen-decompose a Hermitian matrix, or every matrix of a stack.
 
     Parameters
     ----------
-    a : (d, d) array_like
+    a : (..., d, d) array_like
         Hermitian within ``settings.hermiticity_tol`` (checked entrywise,
-        which keeps error reports local to the offending entries).
+        which keeps error reports local to the offending entries).  A stack
+        is decomposed in one call, matrix by matrix exactly as separate
+        calls would; one failing member fails the whole stack.
 
     Returns
     -------
-    eigenvalues : (d,) ndarray
+    eigenvalues : (..., d) ndarray
         Real, in ascending order.
-    eigenvectors : (d, d) ndarray
-        Unitary; column ``k`` belongs to ``eigenvalues[k]``.
+    eigenvectors : (..., d, d) ndarray
+        Unitary; column ``k`` belongs to ``eigenvalues[..., k]``.
 
     Raises
     ------
@@ -89,7 +91,10 @@ def hermitian_eigendecomposition(a):
     ConvergenceFailureError
         If the underlying QR iteration stalls.
     """
-    a = _as_square(a)
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(
+            f"matrix must be square or a stack of square matrices, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(np.abs(a))):
         raise ValueError("matrix contains non-finite entries")
     dev = hermiticity_deviation(a)

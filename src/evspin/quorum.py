@@ -22,7 +22,7 @@ from .errors import (
     SingularQuorumError,
 )
 from .linalg import settings, solve_spd
-from .spin import Direction, Spin, _as_spin, _freeze, coherent_state, spin_operators
+from .spin import Direction, Spin, _as_spin, _freeze, coherent_amplitudes, spin_operators
 
 __all__ = [
     "QuorumConfig",
@@ -130,11 +130,13 @@ class Quorum:
 def build_quorum(config, ops=None):
     """Construct the full quorum for ``config``, verifying all invariants.
 
-    Steps: lay out directions cone-major, build coherent projectors, form
-    the Gram matrix G_{nn'} = |<n|n'>|^2, solve G * duals = (2s+1) * Q for
-    the dual basis (one SPD solve against all right-hand sides), then check
-    duality, Hermiticity of the duals, and the identity expansion
-    sum_n Tr[dual_n] Q_n = (2s+1) * identity.
+    Steps: lay out directions cone-major, build all coherent states with one
+    stacked eigendecomposition (``coherent_amplitudes``) and their
+    projectors, form the Gram matrix G_{nn'} = |<n|n'>|^2, solve
+    G * duals = (2s+1) * Q for the dual basis (one SPD solve against all
+    right-hand sides), then check Hermiticity of the duals, duality (the
+    matrix <n|dual_m|n> / (2s+1) as one product of flattened (N, d^2)
+    stacks), and the identity expansion sum_n Tr[dual_n] Q_n = (2s+1) * identity.
 
     Raises
     ------
@@ -161,8 +163,8 @@ def build_quorum(config, ops=None):
             if phi < 0.0:
                 phi += 2 * math.pi
             directions.append(Direction(theta, phi))
-    amplitudes = np.array([coherent_state(spin, dirn, ops).amplitudes
-                           for dirn in directions])
+    amplitudes = coherent_amplitudes(spin, [dirn.theta for dirn in directions],
+                                     [dirn.phi for dirn in directions], ops)
 
     projectors = amplitudes[:, :, None] * amplitudes[:, None, :].conj()
     idem = np.max(np.abs(np.matmul(projectors, projectors) - projectors))
@@ -198,7 +200,10 @@ def build_quorum(config, ops=None):
         raise InvariantViolationError(f"dual basis asymmetric by {herm_dev:.3e}")
     duals = (duals + duals.conj().transpose(0, 2, 1)) / 2.0
 
-    delta = np.einsum("ni,mij,nj->nm", amplitudes.conj(), duals, amplitudes) / d
+    # delta[n, m] = <n|dual_m|n> / (2s+1): one product of flattened stacks,
+    # (conj(psi_n) psi_n^T) against dual_m entry by entry.
+    sandwiches = (amplitudes.conj()[:, :, None] * amplitudes[:, None, :]).reshape(size, d * d)
+    delta = sandwiches @ duals.reshape(size, d * d).T / d
     duality_residual = float(np.max(np.abs(delta - np.eye(size))))
     if duality_residual > settings.duality_tol:
         raise InvariantViolationError(
@@ -211,7 +216,7 @@ def build_quorum(config, ops=None):
     if trace_imag > settings.realness_tol:
         raise InvariantViolationError(f"dual traces have imaginary part {trace_imag:.3e}")
     raw_traces = raw_traces.real
-    identity_image = np.einsum("n,nij->ij", raw_traces, projectors)
+    identity_image = (raw_traces @ projectors.reshape(size, d * d)).reshape(d, d)
     identity_residual = float(np.max(np.abs(identity_image - d * np.eye(d))))
     if identity_residual > settings.identity_expansion_tol:
         raise InvariantViolationError(

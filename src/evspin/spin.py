@@ -24,6 +24,7 @@ __all__ = [
     "spin_operators",
     "Direction",
     "CoherentState",
+    "coherent_amplitudes",
     "coherent_state",
     "coherent_overlap",
     "Envelope",
@@ -171,22 +172,36 @@ class CoherentState:
     amplitudes: np.ndarray
 
 
-def coherent_state(spin, direction, ops=None):
-    """Coherent state along ``direction``.
+def coherent_amplitudes(spin, thetas, phis, ops=None):
+    """Amplitudes of the coherent states along (thetas[k], phis[k]), shape (K, d).
 
     Rotates the maximal sz eigenstate about the in-plane axis
-    m(phi) = (-sin phi, cos phi, 0) by theta, computing the rotation through
-    the eigendecomposition of m(phi).s.  The independent binomial form of the
-    amplitude magnitudes is deliberately *not* used here so it stays
+    m(phi) = (-sin phi, cos phi, 0) by theta, computing each rotation
+    through the eigendecomposition of m(phi).s.  All K axis operators are
+    decomposed in one stacked call, which gives every row bit for bit what a
+    separate call per direction would.  The independent binomial form of
+    the amplitude magnitudes is deliberately *not* used here so it stays
     available as a cross-check.
     """
     spin = _as_spin(spin)
     ops = spin_operators(spin) if ops is None else ops
     if ops.spin != spin:
         raise DimensionMismatchError("operators belong to a different spin")
-    axis_op = -math.sin(direction.phi) * ops.sx + math.cos(direction.phi) * ops.sy
-    w, v = hermitian_eigendecomposition(axis_op)
-    amplitudes = v @ (np.exp(-1j * direction.theta * w) * v[0, :].conj())
+    thetas = np.asarray(thetas, dtype=float)
+    # math.sin/cos per angle: a vectorised loop may round a row differently
+    # depending on where it falls in the batch.
+    sines = np.array([math.sin(phi) for phi in phis])
+    cosines = np.array([math.cos(phi) for phi in phis])
+    axis_ops = -sines[:, None, None] * ops.sx + cosines[:, None, None] * ops.sy
+    w, v = hermitian_eigendecomposition(axis_ops)
+    phases = np.exp(-1j * thetas[:, None] * w) * v[:, 0, :].conj()
+    return (v @ phases[:, :, None])[:, :, 0]
+
+
+def coherent_state(spin, direction, ops=None):
+    """Coherent state along ``direction``: the one-row case of ``coherent_amplitudes``."""
+    spin = _as_spin(spin)
+    amplitudes = coherent_amplitudes(spin, [direction.theta], [direction.phi], ops)[0]
     return CoherentState(spin, direction, _freeze(amplitudes))
 
 

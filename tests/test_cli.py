@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 
-from evspin.cli import main
+from evspin.cli import _fmt, _fmt_rows, main
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -281,6 +281,19 @@ class TestConfigErrors:
     def test_wrong_pvector_length(self, tmp_path):
         path, _ = write_config(tmp_path, initial_state={"pvector": [1.0, 0.0]})
         assert main(["evolve", "--config", str(path)]) == 2
+
+
+class TestRowFormatting:
+    def test_template_matches_format_byte_for_byte(self):
+        tiny = np.finfo(float).tiny
+        special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, tiny / 3,
+                   5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max,
+                   1.0, -1.0, 0.1, 1 / 3, 2.0 ** 52 + 1]
+        decades = [sign * 10.0 ** e * m for e in range(-300, 301, 7)
+                   for m in (1.0, 1.2345678901234567) for sign in (1.0, -1.0)]
+        values = np.array(special + decades).reshape(-1, 2)
+        expected = [",".join(_fmt(x) for x in row) for row in values]
+        assert _fmt_rows(values) == expected
 
 
 class TestMiscellaneous:

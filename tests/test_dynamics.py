@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ from evspin import (
     DegenerateSpectrumWarning,
     DimensionMismatchError,
     Drive,
+    DrivenGenerator,
     Envelope,
     HamiltonianSpec,
+    InvariantViolationError,
     MethodUnsupportedError,
     Spin,
     bohr_spectrum,
@@ -31,6 +34,57 @@ from evspin import (
     spin_operators,
 )
 from evspin.dynamics import _lexsorted
+
+
+def einsum_trace_form(hmat, q):
+    """M from i/(2s+1) Tr[H [Q_n, dual_m]] by einsum, with the conservation projection."""
+    d = q.dim
+    hq = np.matmul(hmat, q.projectors)
+    hd = np.matmul(hmat, q.duals)
+    t1 = np.einsum("nik,mki->nm", hq, q.duals)
+    t2 = np.einsum("mik,nki->nm", hd, q.projectors)
+    m = (1j * (t1 - t2) / d).real
+    e = q.dual_traces * d
+    return m - np.outer(e, e @ m) / (e @ e)
+
+
+def rk4_assembling_matrix_at(dgen, p0, times, substeps):
+    """rk4 that forms M(t) = matrix_at(t) at every stage time, h as in propagate_grid."""
+    h_target = float(np.min(np.diff(times))) / substeps
+    p = p0.copy()
+    rows = [p]
+    for i in range(1, len(times)):
+        gap = times[i] - times[i - 1]
+        nsub = max(1, math.ceil(gap / h_target - 1e-9))
+        h = gap / nsub
+        t = times[i - 1]
+        for _ in range(nsub):
+            k1 = dgen.matrix_at(t) @ p
+            k2 = dgen.matrix_at(t + h / 2.0) @ (p + (h / 2.0) * k1)
+            k3 = dgen.matrix_at(t + h / 2.0) @ (p + (h / 2.0) * k2)
+            k4 = dgen.matrix_at(t + h) @ (p + h * k3)
+            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+        rows.append(p)
+    return np.array(rows)
+
+
+DRIVE_ENVELOPES = {
+    "cosine": Envelope(shape="cosine", amplitude=0.7, frequency=1.7, phase=0.3),
+    "constant": Envelope(shape="constant", amplitude=0.4),
+    # breakpoints on grid points, where the stage time decides the piece
+    "piecewise": Envelope(shape="piecewise", breakpoints=(0.5, 1.0), values=(0.0, 0.8, -0.3)),
+}
+
+
+def driven_setup(quorum_for, envelope):
+    q = quorum_for(2)
+    ops = spin_operators(Spin(2))
+    spec = HamiltonianSpec(linear=(0.1, 0.0, 1.0), quadratic=((0, 0, 0), (0, 0, 0), (0, 0, 0.3)),
+                           drive=Drive(HamiltonianSpec(linear=(0.5, -0.2, 0.0)), envelope))
+    dgen = build_driven_generator(spec, ops, q)
+    p0 = rho_to_pvec(random_density_matrix(q.dim, np.random.default_rng(57)), q)
+    return dgen, p0
 
 
 def larmor_setup(quorum_for, omega=1.0):
@@ -86,6 +140,28 @@ class TestBuildGenerator:
         diffs = bohr_spectrum(gen.h_eigenvalues)
         np.testing.assert_allclose(_lexsorted(np.linalg.eigvals(gen.matrix)), diffs, atol=1e-8)
         np.testing.assert_allclose(generator_eigenvalues(gen), diffs, atol=1e-12)
+
+    @pytest.mark.parametrize("two_s", range(1, 9))
+    def test_matches_einsum_trace_form(self, quorum_for, two_s):
+        q = quorum_for(two_s)
+        rng = np.random.default_rng(two_s + 70)
+        for _ in range(3):
+            h = random_hermitian(q.dim, rng)
+            gen = build_generator(h, q)
+            scale = max(1.0, float(np.max(np.abs(gen.matrix))))
+            assert np.max(np.abs(gen.matrix - einsum_trace_form(h, q))) < 1e-13 * scale
+
+    def test_trace_and_sandwich_forms_are_separate_contractions(self, quorum_for):
+        q = quorum_for(2)
+        h = random_hermitian(q.dim, np.random.default_rng(44))
+        # Two different contractions round differently; one computed twice would not.
+        assert 0.0 < build_generator(h, q).cross_check_deviation < 1e-10
+        # The trace form reads the projectors and the sandwich form the
+        # amplitudes, so projectors out of step with the amplitudes are caught.
+        order = [1, 0] + list(range(2, q.size))
+        swapped = dataclasses.replace(q, projectors=q.projectors[order])
+        with pytest.raises(InvariantViolationError, match="trace and sandwich"):
+            build_generator(h, swapped)
 
     def test_non_hermitian_rejected(self, quorum_for):
         from evspin import NotHermitianError
@@ -215,6 +291,33 @@ class TestPropagateGrid:
         times = np.linspace(0.0, 10 * 2 * math.pi / nu, 200)
         traj = propagate_grid(dgen, p0, times, method="rk4")
         assert traj.normalization_drift < 1e-7
+
+    @pytest.mark.parametrize("shape", sorted(DRIVE_ENVELOPES))
+    def test_driven_rk4_matches_per_stage_matrices(self, quorum_for, shape):
+        dgen, p0 = driven_setup(quorum_for, DRIVE_ENVELOPES[shape])
+        for times in (np.linspace(0.0, 1.5, 16), np.array([0.0, 0.1, 0.25, 0.5, 0.7, 1.0, 1.3])):
+            traj = propagate_grid(dgen, p0, times, method="rk4", substeps=4)
+            reference = rk4_assembling_matrix_at(dgen, p0.values, times, 4)
+            assert np.max(np.abs(traj.values - reference)) < 1e-13
+
+    def test_driven_rk4_never_forms_the_matrix(self, quorum_for, monkeypatch):
+        dgen, p0 = driven_setup(quorum_for, DRIVE_ENVELOPES["cosine"])
+        calls = []
+        original = Envelope.__call__
+
+        def counted(self, t):
+            calls.append(t)
+            return original(self, t)
+
+        def forbidden(self, t):
+            raise AssertionError("propagate_grid assembled M(t)")
+
+        monkeypatch.setattr(Envelope, "__call__", counted)
+        monkeypatch.setattr(DrivenGenerator, "matrix_at", forbidden)
+        propagate_grid(dgen, p0, np.linspace(0.0, 1.0, 11), method="rk4", substeps=3)
+        # one value per distinct stage time: the start of each of the 10
+        # intervals, then the midpoint and the end of each of its 3 steps
+        assert len(calls) == 10 * (1 + 2 * 3)
 
     def test_rk4_convergence_order(self, quorum_for):
         q, gen, plus_x = larmor_setup(quorum_for)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from evspin import (
+    DimensionMismatchError,
     NotHermitianError,
     SingularMatrixError,
     Spin,
     build_generator,
     hermitian_eigendecomposition,
+    hermiticity_deviation,
     propagate_exact,
     random_density_matrix,
     rho_to_pvec,
@@ -51,6 +53,54 @@ class TestHermitianEigendecomposition:
             assert np.max(np.abs(a @ v - v * w)) < 1e-10
             assert np.max(np.abs(a - (v * w) @ v.conj().T)) < 1e-10
             assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-10
+
+    @pytest.mark.parametrize("dim", [1, 3, 11])
+    def test_stack_matches_separate_calls_bitwise(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        stack = np.array([random_hermitian(dim, rng) for _ in range(7)])
+        w, v = hermitian_eigendecomposition(stack)
+        assert w.shape == (7, dim) and v.shape == (7, dim, dim)
+        for k in range(7):
+            wk, vk = hermitian_eigendecomposition(stack[k])
+            assert np.array_equal(w[k], wk)
+            assert np.array_equal(v[k], vk)
+
+    def test_stack_with_one_non_hermitian_member_rejected(self):
+        rng = np.random.default_rng(7)
+        stack = np.array([random_hermitian(4, rng) for _ in range(5)])
+        stack[3, 0, 1] += 1e-9
+        with pytest.raises(NotHermitianError):
+            hermitian_eigendecomposition(stack)
+
+    def test_stack_with_one_non_finite_member_rejected(self):
+        rng = np.random.default_rng(8)
+        stack = np.array([random_hermitian(4, rng) for _ in range(5)])
+        stack[2, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_eigendecomposition(stack)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            hermitian_eigendecomposition(np.zeros(shape))
+
+
+class TestHermiticityDeviation:
+    def test_stack_compares_each_member_with_its_own_adjoint(self):
+        # (3, 3, 3): reversing every axis would compare entries of different
+        # members; only member 1 is non-Hermitian, off by 0.25 at (0, 2).
+        rng = np.random.default_rng(9)
+        stack = np.array([random_hermitian(3, rng) for _ in range(3)])
+        assert hermiticity_deviation(stack) == 0.0
+        stack[1, 0, 2] += 0.25
+        assert hermiticity_deviation(stack) == 0.25
+
+    def test_stack_of_other_length(self):
+        rng = np.random.default_rng(10)
+        stack = np.array([random_hermitian(3, rng) for _ in range(5)])
+        assert hermiticity_deviation(stack) == 0.0
+        stack[4, 2, 1] += 0.5j
+        assert hermiticity_deviation(stack) == 0.5
 
 
 class TestSolveSpd:

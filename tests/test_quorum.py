@@ -8,10 +8,12 @@ from evspin import (
     Spin,
     SingularQuorumError,
     build_quorum,
+    coherent_state,
     default_config,
     quorum_from_document,
     quorum_to_document,
     settings,
+    spin_operators,
 )
 from evspin.quorum import QuorumConfig
 
@@ -117,6 +119,16 @@ class TestBuildQuorum:
         assert np.max(np.abs(delta - np.eye(q.size))) < 1e-9
         identity = np.einsum("n,nij->ij", q.dual_traces * d, q.projectors)
         assert np.max(np.abs(identity - d * np.eye(d))) < 1e-8
+
+    @pytest.mark.parametrize("two_s", range(11))
+    def test_amplitudes_match_per_direction_states(self, quorum_for, two_s):
+        # Bit for bit: the duals, and with them the conservation verdicts of
+        # build_generator at 2s = 10, follow from these amplitudes.
+        q = quorum_for(two_s)
+        ops = spin_operators(q.spin)
+        per_direction = np.array([coherent_state(q.spin, direction, ops).amplitudes
+                                  for direction in q.directions])
+        assert np.array_equal(q.amplitudes, per_direction)
 
     def test_duals_hermitian(self, quorum_for):
         q = quorum_for(4)

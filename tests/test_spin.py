@@ -12,6 +12,7 @@ from evspin import (
     Spin,
     basis_state,
     build_hamiltonian,
+    coherent_amplitudes,
     coherent_overlap,
     coherent_state,
     evolve_density_matrix,
@@ -147,6 +148,23 @@ class TestCoherentState:
             expected = np.sqrt(comb(two_s, two_s - i)) \
                 * np.cos(theta / 2) ** (two_s - i) * np.sin(theta / 2) ** i
             np.testing.assert_allclose(np.abs(st.amplitudes), expected, atol=1e-10)
+
+    @pytest.mark.parametrize("two_s", [0, 1, 4, 10])
+    def test_stacked_amplitudes_match_single_states(self, two_s):
+        spin = Spin(two_s)
+        ops = spin_operators(spin)
+        rng = np.random.default_rng(60 + two_s)
+        thetas = np.arccos(1 - 2 * rng.random(9))
+        phis = 2 * math.pi * rng.random(9)
+        amplitudes = coherent_amplitudes(spin, thetas, phis, ops)
+        assert amplitudes.shape == (9, spin.dim)
+        for k in range(9):
+            single = coherent_state(spin, Direction(thetas[k], phis[k]), ops).amplitudes
+            assert np.array_equal(amplitudes[k], single)
+
+    def test_stacked_amplitudes_reject_foreign_operators(self):
+        with pytest.raises(DimensionMismatchError):
+            coherent_amplitudes(Spin(2), [1.0], [0.0], spin_operators(Spin(1)))
 
 
 class TestCoherentOverlap:
