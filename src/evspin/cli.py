@@ -61,16 +61,6 @@ class ConfigError(Exception):
     """Malformed or contradictory run configuration."""
 
 
-def _fmt(x):
-    return format(float(x), ".17e")
-
-
-def _fmt_rows(table):
-    """CSV lines of a 2-D float array, every value written exactly as ``_fmt`` would."""
-    template = ",".join(["%.17e"] * table.shape[1])
-    return [template % tuple(row) for row in table.tolist()]
-
-
 def _config_hash(cfg):
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -272,26 +262,32 @@ def _parse_method(cfg):
     return method, substeps
 
 
-def _output_path(cfg, args, key):
-    if args.out is not None:
-        return args.out
+def _parse_output(cfg, args):
+    """(format, table path, summary path) of a run; a path of None means stdout.
+
+    ``--out X`` names the table and puts the summary at ``X.summary.json``.
+    Without it, ``evolve`` takes ``output.trajectory`` and ``output.summary``
+    from the config (the summary defaulting to the table's path plus
+    ``.summary.json``); the other subcommands write to stdout, so that a
+    config shared between subcommands never has its trajectory overwritten.
+    """
     block = cfg.get("output", {})
-    if isinstance(block, dict):
-        path = block.get(key)
-        if path is not None and not isinstance(path, str):
+    if not isinstance(block, dict):
+        raise ConfigError("field 'output' must be an object")
+    for key in ("trajectory", "summary"):
+        if block.get(key) is not None and not isinstance(block[key], str):
             raise ConfigError(f"field 'output.{key}' must be a path string")
-        return path
-    return None
-
-
-def _resolve_format(cfg, args):
-    fmt = args.format
-    if fmt is None:
-        block = cfg.get("output", {})
-        fmt = block.get("format", "csv") if isinstance(block, dict) else "csv"
+    fmt = args.format if args.format is not None else block.get("format", "csv")
     if fmt not in ("csv", "json-lines"):
         raise ConfigError("output format must be 'csv' or 'json-lines'")
-    return fmt
+    if args.out is not None:
+        return fmt, args.out, args.out + ".summary.json"
+    if args.command != "evolve":
+        return fmt, None, None
+    table, summary = block.get("trajectory"), block.get("summary")
+    if summary is None and table is not None:
+        summary = table + ".summary.json"
+    return fmt, table, summary
 
 
 def _write_text(path, text):
@@ -302,67 +298,84 @@ def _write_text(path, text):
             fh.write(text)
 
 
-def _csv_document(meta, header, rows):
-    """Preamble, header and ``rows``, each row an already joined line."""
-    lines = [f"# {key} = {value}" for key, value in meta]
-    lines.append(",".join(header))
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
+def _write_table(path, fmt, meta, columns):
+    """Write one table as CSV or JSON lines: the only code that spells either format.
 
-
-def _jsonl_document(meta, records):
-    lines = [json.dumps({"meta": dict(meta)}, sort_keys=True)]
-    lines.extend(json.dumps(rec, sort_keys=True) for rec in records)
-    return "\n".join(lines) + "\n"
+    ``meta`` is a list of (key, value) pairs.  A float value is written as a
+    ``%.17e`` string in both formats and a list as JSON; CSV puts each pair
+    on a ``# key = value`` preamble line, JSON lines in a first
+    ``{"meta": ...}`` record.  ``columns`` is a list of (name, array) pairs
+    of one length.  A 2-D column of width k is CSV columns ``name_1..name_k``
+    and one JSON list.  CSV cells are ``%.17e`` for floats, ``%d`` for
+    integers and ``%s`` for labels; JSON lines hold one record per row.
+    """
+    meta = [(key, "%.17e" % value if isinstance(value, float) else value)
+            for key, value in meta]
+    columns = [(name, np.asarray(values)) for name, values in columns]
+    if fmt == "csv":
+        lines = [f"# {key} = {json.dumps(value) if isinstance(value, list) else value}"
+                 for key, value in meta]
+        header, cells = [], []
+        for name, values in columns:
+            kind = values.dtype.kind
+            cell = "%.17e" if kind == "f" else "%d" if kind in "iu" else "%s"
+            if values.ndim == 1:
+                header.append(name)
+                cells.append(cell)
+            else:
+                header += [f"{name}_{k}" for k in range(1, values.shape[1] + 1)]
+                cells += [cell] * values.shape[1]
+        lines.append(",".join(header))
+        # Integer columns are exact in a float stack: they are indices, far below 2**53.
+        # A label column needs the object stack, which keeps every cell's Python type.
+        arrays = [values for _, values in columns]
+        if any(values.dtype.kind not in "iuf" for values in arrays):
+            arrays = [values.astype(object) for values in arrays]
+        template = ",".join(cells)
+        lines.extend(template % tuple(row) for row in np.column_stack(arrays).tolist())
+    else:
+        names = [name for name, _ in columns]
+        lines = [json.dumps({"meta": dict(meta)}, sort_keys=True)]
+        lines.extend(json.dumps(dict(zip(names, row)), sort_keys=True)
+                     for row in zip(*(values.tolist() for _, values in columns)))
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_quorum(args):
     cfg = _load_config(args.config)
+    fmt, table_path, _ = _parse_output(cfg, args)
     spin = _parse_spin(cfg)
     qconfig = _parse_quorum_config(cfg, spin)
     quorum = build_quorum(qconfig)
-    fmt = _resolve_format(cfg, args)
 
     meta = [
         ("config_hash", _config_hash(cfg)),
         ("two_s", spin.two_s),
         ("n_points", quorum.size),
-        ("condition_number", _fmt(quorum.condition_number)),
-        ("min_gram_eigenvalue", _fmt(quorum.min_gram_eigenvalue)),
-        ("duality_residual", _fmt(quorum.duality_residual)),
-        ("identity_expansion_residual", _fmt(quorum.identity_residual)),
+        ("condition_number", quorum.condition_number),
+        ("min_gram_eigenvalue", quorum.min_gram_eigenvalue),
+        ("duality_residual", quorum.duality_residual),
+        ("identity_expansion_residual", quorum.identity_residual),
+        ("cone_angles", [float(t) for t in qconfig.cone_angles]),
+        ("azimuth_offsets", [float(p) for p in qconfig.azimuth_offsets]),
     ]
-    angles = [("cone_angles", [float(t) for t in qconfig.cone_angles]),
-              ("azimuth_offsets", [float(p) for p in qconfig.azimuth_offsets])]
-    if fmt == "csv":
-        rows = []
-        for n, direction in enumerate(quorum.directions):
-            rows.append([str(n), str(n // spin.dim), str(n % spin.dim),
-                         _fmt(direction.theta), _fmt(direction.phi)])
-        text = _csv_document(meta + [(k, json.dumps(v)) for k, v in angles],
-                             ["n", "cone", "azimuth", "theta", "phi"], map(",".join, rows))
-    else:
-        records = [{"n": n, "cone": n // spin.dim, "azimuth": n % spin.dim,
-                    "theta": d.theta, "phi": d.phi}
-                   for n, d in enumerate(quorum.directions)]
-        text = _jsonl_document(meta + angles, records)
-    _write_text(args.out, text)
+    n = np.arange(quorum.size)
+    columns = [("n", n), ("cone", n // spin.dim), ("azimuth", n % spin.dim),
+               ("theta", np.array([d.theta for d in quorum.directions], dtype=float)),
+               ("phi", np.array([d.phi for d in quorum.directions], dtype=float))]
+    _write_table(table_path, fmt, meta, columns)
     return EXIT_OK
-
-
-def _spectrum_pairs(values):
-    return [[float(z.real), float(z.imag)] for z in values]
 
 
 def cmd_spectrum(args):
     cfg = _load_config(args.config)
+    fmt, table_path, _ = _parse_output(cfg, args)
     spin = _parse_spin(cfg)
     ops = spin_operators(spin)
     quorum = build_quorum(_parse_quorum_config(cfg, spin))
     spec = _parse_hamiltonian(cfg)
     hmat = build_hamiltonian(spec, ops)
     gen = build_generator(hmat, quorum)
-    fmt = _resolve_format(cfg, args)
 
     meta = [("config_hash", _config_hash(cfg)),
             ("two_s", spin.two_s),
@@ -371,66 +384,50 @@ def cmd_spectrum(args):
         meta.append(("note", "spectra refer to the static part; the drive term is excluded"))
     h_eigs = gen.h_eigenvalues
     m_eigs = generator_eigenvalues(gen)
-    if fmt == "csv":
-        rows = [["H", str(i), _fmt(e), _fmt(0.0)] for i, e in enumerate(h_eigs)]
-        rows += [["M", str(i), _fmt(z.real), _fmt(z.imag)] for i, z in enumerate(m_eigs)]
-        text = _csv_document(meta, ["matrix", "index", "real", "imag"], map(",".join, rows))
-    else:
-        records = [{"matrix": "H", "index": i, "real": float(e), "imag": 0.0}
-                   for i, e in enumerate(h_eigs)]
-        records += [{"matrix": "M", "index": i, "real": float(z.real), "imag": float(z.imag)}
-                    for i, z in enumerate(m_eigs)]
-        text = _jsonl_document(meta, records)
-    _write_text(args.out, text)
+    columns = [("matrix", np.array(["H"] * h_eigs.size + ["M"] * m_eigs.size)),
+               ("index", np.concatenate([np.arange(h_eigs.size), np.arange(m_eigs.size)])),
+               ("real", np.concatenate([h_eigs, m_eigs.real])),
+               ("imag", np.concatenate([np.zeros(h_eigs.size), m_eigs.imag]))]
+    _write_table(table_path, fmt, meta, columns)
     return EXIT_OK
 
 
 def cmd_reconstruct(args):
     cfg = _load_config(args.config)
+    fmt, table_path, _ = _parse_output(cfg, args)
     spin = _parse_spin(cfg)
     ops = spin_operators(spin)
     quorum = build_quorum(_parse_quorum_config(cfg, spin))
     p0, rho0 = _parse_initial_state(cfg, spin, ops, quorum)
-    fmt = _resolve_format(cfg, args)
 
     meta = [("config_hash", _config_hash(cfg)),
             ("two_s", spin.two_s),
             ("n_points", quorum.size)]
     if rho0 is not None:
         meta.append(("direction", "state_to_probabilities"))
-        meta.append(("e_dot_p", _fmt(p0.normalization)))
-        if fmt == "csv":
-            rows = [[str(n), _fmt(v)] for n, v in enumerate(p0.values)]
-            text = _csv_document(meta, ["n", "P_n"], map(",".join, rows))
-        else:
-            records = [{"n": n, "P": float(v)} for n, v in enumerate(p0.values)]
-            text = _jsonl_document(meta, records)
+        meta.append(("e_dot_p", p0.normalization))
+        columns = [("n", np.arange(quorum.size)), ("P", p0.values)]
     else:
         rho, report = pvec_to_rho(p0)
         meta.append(("direction", "probabilities_to_state"))
-        meta.append(("trace", _fmt(report.trace)))
-        meta.append(("min_eigenvalue", _fmt(report.min_eigenvalue)))
-        meta.append(("e_dot_p", _fmt(report.e_dot_p)))
+        meta.append(("trace", report.trace))
+        meta.append(("min_eigenvalue", report.min_eigenvalue))
+        meta.append(("e_dot_p", report.e_dot_p))
         meta.append(("physical", "true" if report.physical else "false"))
         if not report.physical:
             print("warning: input probabilities do not correspond to a physical state "
                   f"(trace {report.trace:.6e}, min eigenvalue {report.min_eigenvalue:.6e})",
                   file=sys.stderr)
-        if fmt == "csv":
-            rows = [[str(i), str(j), _fmt(rho[i, j].real), _fmt(rho[i, j].imag)]
-                    for i in range(spin.dim) for j in range(spin.dim)]
-            text = _csv_document(meta, ["row", "col", "real", "imag"], map(",".join, rows))
-        else:
-            records = [{"row": i, "col": j,
-                        "real": float(rho[i, j].real), "imag": float(rho[i, j].imag)}
-                       for i in range(spin.dim) for j in range(spin.dim)]
-            text = _jsonl_document(meta, records)
-    _write_text(args.out, text)
+        d = spin.dim
+        columns = [("row", np.repeat(np.arange(d), d)), ("col", np.tile(np.arange(d), d)),
+                   ("real", rho.real.ravel()), ("imag", rho.imag.ravel())]
+    _write_table(table_path, fmt, meta, columns)
     return EXIT_OK
 
 
 def cmd_evolve(args):
     cfg = _load_config(args.config)
+    fmt, table_path, summary_path = _parse_output(cfg, args)
     spin = _parse_spin(cfg)
     ops = spin_operators(spin)
     quorum = build_quorum(_parse_quorum_config(cfg, spin))
@@ -438,7 +435,6 @@ def cmd_evolve(args):
     times = _parse_times(cfg)
     method, substeps = _parse_method(cfg)
     p0, rho0 = _parse_initial_state(cfg, spin, ops, quorum)
-    fmt = _resolve_format(cfg, args)
 
     driven = spec.drive is not None
     if driven:
@@ -463,32 +459,12 @@ def cmd_evolve(args):
     meta = [("config_hash", config_hash),
             ("two_s", spin.two_s),
             ("n_points", quorum.size)]
-    header = (["t"] + [f"P_{n + 1}" for n in range(quorum.size)]
-              + ["ePdot", "minP", "maxP", "sumP"])
+    columns = [("t", trajectory.times), ("P", trajectory.values),
+               ("ePdot", trajectory.e_dot_p), ("minP", trajectory.p_min),
+               ("maxP", trajectory.p_max), ("sumP", trajectory.p_sum)]
     if oracle is not None:
-        header.append("oracle_dev")
-    if fmt == "csv":
-        columns = [trajectory.times[:, None], trajectory.values, trajectory.e_dot_p[:, None],
-                   trajectory.p_min[:, None], trajectory.p_max[:, None],
-                   trajectory.p_sum[:, None]]
-        if oracle is not None:
-            columns.append(trajectory.oracle_dev[:, None])
-        text = _csv_document(meta, header, _fmt_rows(np.hstack(columns)))
-    else:
-        records = []
-        for i, t in enumerate(trajectory.times):
-            rec = {"t": float(t), "P": [float(v) for v in trajectory.values[i]],
-                   "ePdot": float(trajectory.e_dot_p[i]),
-                   "minP": float(trajectory.p_min[i]),
-                   "maxP": float(trajectory.p_max[i]),
-                   "sumP": float(trajectory.p_sum[i])}
-            if oracle is not None:
-                rec["oracle_dev"] = float(trajectory.oracle_dev[i])
-            records.append(rec)
-        text = _jsonl_document(meta, records)
-
-    out_path = _output_path(cfg, args, "trajectory")
-    _write_text(out_path, text)
+        columns.append(("oracle_dev", trajectory.oracle_dev))
+    _write_table(table_path, fmt, meta, columns)
 
     summary = {
         "config_hash": config_hash,
@@ -511,7 +487,7 @@ def cmd_evolve(args):
             "bohr_deviation": static_gen.bohr_deviation,
         },
         "spectrum_h": [float(e) for e in static_gen.h_eigenvalues],
-        "spectrum_m": _spectrum_pairs(generator_eigenvalues(static_gen)),
+        "spectrum_m": [[z.real, z.imag] for z in generator_eigenvalues(static_gen).tolist()],
         "normalization": {
             "initial": float(trajectory.e_dot_p[0]),
             "max_drift": trajectory.normalization_drift,
@@ -523,19 +499,8 @@ def cmd_evolve(args):
         "oracle_max_deviation": (float(np.max(trajectory.oracle_dev))
                                  if oracle is not None else None),
     }
-    block = cfg.get("output", {})
-    summary_cfg = block.get("summary") if isinstance(block, dict) else None
-    if summary_cfg is not None and not isinstance(summary_cfg, str):
-        raise ConfigError("field 'output.summary' must be a path string")
-    if args.out is None and summary_cfg is not None:
-        summary_path = summary_cfg
-    elif out_path is not None:
-        summary_path = out_path + ".summary.json"
-    else:
-        summary_path = None
     _write_text(summary_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
-
 
 def _build_parser():
     parser = argparse.ArgumentParser(

@@ -2,8 +2,9 @@ import json
 import math
 
 import numpy as np
+import pytest
 
-from evspin.cli import _fmt, _fmt_rows, main
+from evspin.cli import _write_table, main
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -284,7 +285,7 @@ class TestConfigErrors:
 
 
 class TestRowFormatting:
-    def test_template_matches_format_byte_for_byte(self):
+    def test_template_matches_format_byte_for_byte(self, tmp_path):
         tiny = np.finfo(float).tiny
         special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, tiny / 3,
                    5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max,
@@ -292,8 +293,15 @@ class TestRowFormatting:
         decades = [sign * 10.0 ** e * m for e in range(-300, 301, 7)
                    for m in (1.0, 1.2345678901234567) for sign in (1.0, -1.0)]
         values = np.array(special + decades).reshape(-1, 2)
-        expected = [",".join(_fmt(x) for x in row) for row in values]
-        assert _fmt_rows(values) == expected
+        out = tmp_path / "t.csv"
+        meta = [(f"v{k}", float(x)) for k, x in enumerate(values.ravel())]
+        _write_table(str(out), "csv", meta, [("x", values), ("i", np.arange(len(values)))])
+        lines = out.read_text().splitlines()
+        assert lines[:len(meta)] == [f"# v{k} = {format(x, '.17e')}"
+                                     for k, x in enumerate(values.ravel())]
+        assert lines[len(meta)] == "x_1,x_2,i"
+        assert lines[len(meta) + 1:] == [f"{format(a, '.17e')},{format(b, '.17e')},{i}"
+                                         for i, (a, b) in enumerate(values)]
 
 
 class TestMiscellaneous:
@@ -325,3 +333,132 @@ class TestMiscellaneous:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "# n_points = 4" in proc.stdout
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command", ["evolve", "quorum"])
+    @pytest.mark.parametrize("output, field", [
+        ("traj.csv", "field 'output' must be an object"),
+        ({"trajectory": 3}, "field 'output.trajectory' must be a path string"),
+        ({"summary": ["run.json"]}, "field 'output.summary' must be a path string"),
+    ], ids=["not-an-object", "trajectory-not-a-string", "summary-not-a-string"])
+    def test_malformed_output_rejected(self, tmp_path, capsys, command, output, field):
+        path, _ = write_config(tmp_path, output=output)
+        assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert captured.out == ""
+
+    def test_out_flag_overrides_config_paths(self, tmp_path):
+        traj, summ = tmp_path / "cfg.csv", tmp_path / "cfg.summary.json"
+        path, _ = write_config(tmp_path,
+                               output={"trajectory": str(traj), "summary": str(summ)})
+        out = tmp_path / "flag.csv"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+        assert out.exists() and (tmp_path / "flag.csv.summary.json").exists()
+        assert not traj.exists() and not summ.exists()
+
+    def test_config_summary_used_as_given(self, tmp_path, capsys):
+        summ = tmp_path / "only.summary.json"
+        path, _ = write_config(tmp_path, output={"summary": str(summ)})
+        assert main(["evolve", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("# config_hash = ")
+        assert json.loads(summ.read_text())["n_points"] == 4
+
+    def test_summary_defaults_beside_config_trajectory(self, tmp_path):
+        traj = tmp_path / "t.jsonl"
+        path, _ = write_config(tmp_path, output={"trajectory": str(traj),
+                                                 "format": "json-lines"})
+        assert main(["evolve", "--config", str(path)]) == 0
+        assert json.loads(traj.read_text().splitlines()[0])["meta"]["n_points"] == 4
+        assert (tmp_path / "t.jsonl.summary.json").exists()
+
+    def test_stdout_holds_table_then_summary(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        assert main(["evolve", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cut = lines.index("{")
+        assert lines[0].startswith("# config_hash = ")
+        assert len([l for l in lines[:cut] if not l.startswith("#")]) == 1 + 21
+        assert json.loads("\n".join(lines[cut:]))["method"] == "exact-expm"
+
+    def test_only_evolve_reads_config_paths(self, tmp_path, capsys):
+        traj = tmp_path / "traj.csv"
+        path, _ = write_config(tmp_path, output={"trajectory": str(traj)})
+        assert main(["quorum", "--config", str(path)]) == 0
+        assert "# n_points = 4" in capsys.readouterr().out
+        assert not traj.exists()
+
+
+DRIVE = {"linear": [0.3, 0.0, 0.0],
+         "envelope": {"shape": "cosine", "amplitude": 1.0, "frequency": 2.0}}
+BRANCHES = {
+    "quorum-default": ("quorum", {"two_s": 2}, []),
+    "quorum-scalar": ("quorum", {"two_s": 0}, []),
+    "quorum-override": ("quorum", {"quorum": {"cone_angles": [0.35, 2.79],
+                                              "azimuth_offsets": [0.0, 1.57]}}, []),
+    "spectrum-static": ("spectrum", {"two_s": 2}, []),
+    "spectrum-driven": ("spectrum", {"hamiltonian": {"linear": [0, 0, 1.0], "drive": DRIVE}},
+                        []),
+    "reconstruct-state": ("reconstruct", {"two_s": 2}, []),
+    "reconstruct-physical": ("reconstruct",
+                             {"initial_state": {"pvector": [0.5, 0.5, 0.5, 0.5]}}, []),
+    "reconstruct-unphysical": ("reconstruct",
+                               {"initial_state": {"pvector": [1.6, 0.1, 0.1, 0.1]}}, []),
+    "evolve-exact": ("evolve", {"two_s": 2}, []),
+    "evolve-oracle": ("evolve", {}, ["--oracle"]),
+    "evolve-rk4": ("evolve", {"method": "rk4", "substeps": 3}, []),
+    "evolve-driven": ("evolve", {"method": "rk4",
+                                 "hamiltonian": {"linear": [0, 0, 1.0], "drive": DRIVE}}, []),
+    "evolve-pvector-oracle": ("evolve", {"initial_state": {"pvector": [0.5, 0.5, 0.5, 0.5]}},
+                              ["--oracle"]),
+}
+
+
+def parse_csv(text):
+    meta, header, rows = {}, None, []
+    for line in text.splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(" = ")
+            meta[key] = value
+        elif header is None:
+            header = line.split(",")
+        else:
+            rows.append(dict(zip(header, line.split(","))))
+    return meta, header, rows
+
+
+class TestCrossFormat:
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_csv_and_json_lines_hold_one_table(self, tmp_path, branch):
+        command, overrides, flags = BRANCHES[branch]
+        path, _ = write_config(tmp_path, **overrides)
+        text = {}
+        for fmt in ("csv", "json-lines"):
+            out = tmp_path / f"table.{fmt}"
+            assert main([command, "--config", str(path), "--format", fmt,
+                         "--out", str(out)] + flags) == 0
+            text[fmt] = out.read_text()
+        meta, header, rows = parse_csv(text["csv"])
+        lines = text["json-lines"].splitlines()
+        json_meta = json.loads(lines[0])["meta"]
+        assert meta == {key: json.dumps(value) if isinstance(value, list) else str(value)
+                        for key, value in json_meta.items()}
+
+        records = [json.loads(line) for line in lines[1:]]
+        assert len(records) == len(rows) > 0
+        for record, row in zip(records, rows):
+            cells = {}
+            for key, value in record.items():
+                if isinstance(value, list):
+                    cells.update((f"{key}_{k}", v) for k, v in enumerate(value, 1))
+                else:
+                    cells[key] = value
+            assert sorted(cells) == sorted(header)
+            for name, value in cells.items():
+                if isinstance(value, str):
+                    assert row[name] == value
+                elif isinstance(value, int):
+                    assert row[name] == str(value)
+                else:
+                    assert float(row[name]).hex() == value.hex(), name
