@@ -19,7 +19,6 @@ from .errors import (
     MethodUnsupportedError,
     NonSymmetricCouplingError,
     NotHermitianError,
-    SingularMatrixError,
     SingularQuorumError,
 )
 from .linalg import (
@@ -27,7 +26,6 @@ from .linalg import (
     hermitian_eigendecomposition,
     hermiticity_deviation,
     settings,
-    solve_spd,
 )
 from .spin import (
     CoherentState,

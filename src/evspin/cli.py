@@ -5,8 +5,8 @@ library call and is formatted at full double precision, so identical
 configurations produce byte-identical output files.
 
 Configuration is one JSON document.  Exit status: 0 on success, 2 for
-configuration errors, 3 for numerical failures (singular quorum,
-convergence).
+configuration errors, 3 for numerical failures (singular quorum, failed
+self-check, convergence, rk4 divergence).
 """
 
 import argparse
@@ -25,7 +25,6 @@ from .dynamics import (
 from .errors import (
     ConvergenceFailureError,
     InvariantViolationError,
-    SingularMatrixError,
     SingularQuorumError,
 )
 from .quorum import QuorumConfig, build_quorum, default_config
@@ -51,7 +50,6 @@ EXIT_NUMERICAL = 3
 
 _NUMERICAL_ERRORS = (
     SingularQuorumError,
-    SingularMatrixError,
     ConvergenceFailureError,
     InvariantViolationError,
 )

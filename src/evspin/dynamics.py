@@ -358,7 +358,8 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
         fixed step h = (smallest grid gap) / substeps; a driven stage applies
         M(t) = M_static + f(t) M_drive as one product of the stacked
         [M_static; M_drive] with the stage vector, combined with [1, f(t)],
-        and never forms M(t) itself.
+        and never forms M(t) itself.  A non-finite rk4 row raises
+        ``InvariantViolationError``.
     oracle : (d, d) array_like, optional
         Initial density matrix; when given (autonomous generators only) the
         trajectory carries the per-time deviation from direct density-matrix
@@ -386,14 +387,24 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
 
     if method == "exact-expm":
         values = _flow(gen, p0.values, times - times[0])
-    elif driven:
-        envelope = gen.envelope
-        blocks = np.vstack([gen.static.matrix, gen.drive.matrix])
-        values = _rk4(blocks, lambda t: np.array([1.0, envelope(t)]),
-                      p0.values, times, substeps)
     else:
-        one = np.ones(1)
-        values = _rk4(gen.matrix, lambda _t: one, p0.values, times, substeps)
+        if driven:
+            envelope = gen.envelope
+            blocks = np.vstack([gen.static.matrix, gen.drive.matrix])
+            weights = lambda t: np.array([1.0, envelope(t)])
+        else:
+            one = np.ones(1)
+            blocks, weights = gen.matrix, lambda _t: one
+        # Outside rk4's stability region the rows overflow; that is reported
+        # once, below, rather than as numpy warnings and NaN rows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _rk4(blocks, weights, p0.values, times, substeps)
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise InvariantViolationError(
+                f"rk4 diverged: non-finite values at t = {times[np.argmin(finite)]:.6g}; "
+                f"the step is outside rk4's stability region, use more substeps "
+                f"(now {substeps})")
 
     e = gen.quorum.dual_traces
     oracle_dev = None

@@ -13,20 +13,15 @@ class ConvergenceFailureError(RuntimeError):
     """An iterative eigenvalue routine failed to converge."""
 
 
-class SingularMatrixError(RuntimeError):
-    """A linear system could not be solved to the required residual."""
-
-    def __init__(self, message, condition_estimate=float("inf")):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
-
-
 class NonSymmetricCouplingError(ValueError):
     """Quadratic Hamiltonian coefficients must form a symmetric 3x3 matrix."""
 
 
 class SingularQuorumError(RuntimeError):
     """The Gram matrix of the direction set is not positive definite.
+
+    Equivalently, the square quorum matrix T[n, a] = Tr[Q_n B_a] cannot be
+    inverted.
 
     The configuration is not informationally complete: some Hermitian
     operators cannot be distinguished by the measured probabilities.

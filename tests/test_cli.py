@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +159,22 @@ class TestEvolveCommand:
                          "envelope": {"shape": "cosine", "frequency": 2.0}}}
         path, _ = write_config(tmp_path, hamiltonian=ham, method="rk4")
         assert main(["evolve", "--config", str(path), "--oracle"]) == 2
+
+    def test_rk4_divergence_is_numerical_failure(self, tmp_path, capsys):
+        # |h lambda| = 1e4 at 2s = 1, H = 1000 sz, h = 10: far outside
+        # rk4's stability region, so the rows overflow to NaN.
+        path, _ = write_config(tmp_path, hamiltonian={"linear": [0.0, 0.0, 1000.0]},
+                               time_grid={"t_start": 0.0, "t_end": 400.0, "steps": 40},
+                               method="rk4", substeps=1)
+        out = tmp_path / "traj.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", "--config", str(path), "--format", "json-lines",
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: rk4 diverged: non-finite values at t = ")
+        assert "substeps" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_pvector_initial_state(self, tmp_path):
         path, _ = write_config(tmp_path,
@@ -325,8 +346,6 @@ class TestMiscellaneous:
         assert json.loads(summ.read_text())["method"] == "exact-expm"
 
     def test_module_entry_point(self, tmp_path):
-        import subprocess
-        import sys
         path, _ = write_config(tmp_path)
         proc = subprocess.run(
             [sys.executable, "-m", "evspin", "quorum", "--config", str(path)],
@@ -462,3 +481,40 @@ class TestCrossFormat:
                     assert row[name] == str(value)
                 else:
                     assert float(row[name]).hex() == value.hex(), name
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs in a fresh interpreter where any import of scipy raises.
+BLOCKED_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None
+from evspin.cli import main
+print(json.dumps({name: main(argv) for name, argv in json.loads(sys.argv[1]).items()}))
+"""
+
+
+class TestNoScipy:
+    def run_python(self, *args):
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+
+    def test_import_loads_no_scipy(self):
+        proc = self.run_python("-c", "import sys, evspin.cli; "
+                                     "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert proc.stdout.strip() == "[]"
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        static, _ = write_config(tmp_path, "static.json", two_s=4)
+        driven, _ = write_config(tmp_path, "driven.json", method="rk4",
+                                 hamiltonian={"linear": [0, 0, 1.0], "drive": DRIVE})
+        runs = {
+            "quorum": ["quorum", "--config", str(static)],
+            "reconstruct": ["reconstruct", "--config", str(static)],
+            "evolve-oracle": ["evolve", "--config", str(static), "--oracle"],
+            "evolve-driven": ["evolve", "--config", str(driven)],
+        }
+        for name, argv in runs.items():
+            argv += ["--out", str(tmp_path / f"{name}.csv")]
+        proc = self.run_python("-c", BLOCKED_SCIPY_RUN, json.dumps(runs))
+        assert json.loads(proc.stdout.splitlines()[-1]) == dict.fromkeys(runs, 0)

@@ -4,17 +4,21 @@ import pytest
 from evspin import (
     DimensionMismatchError,
     NotHermitianError,
-    SingularMatrixError,
+    SingularQuorumError,
     Spin,
     build_generator,
+    build_quorum,
+    default_config,
     hermitian_eigendecomposition,
     hermiticity_deviation,
     propagate_exact,
     random_density_matrix,
     rho_to_pvec,
-    solve_spd,
     spin_operators,
 )
+from evspin.quorum import QuorumConfig, _hermitian_coordinates, _hermitian_from_coordinates
+
+EPS = np.finfo(float).eps
 
 
 def random_hermitian(dim, rng):
@@ -103,43 +107,59 @@ class TestHermiticityDeviation:
         assert hermiticity_deviation(stack) == 0.5
 
 
-class TestSolveSpd:
-    def test_identity(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(solve_spd(np.eye(2), b), b)
+class TestDualSolve:
+    """The duals as the inverse of the square real quorum matrix.
 
-    def test_diagonal(self):
-        x = solve_spd(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-        np.testing.assert_allclose(x, [1.0, 1.0])
+    T[n, a] = Tr[Q_n B_a] in the real orthonormal Hermitian basis B_a; the
+    duals' coordinates in the same basis must be (2s+1) T^{-1}.
+    """
 
-    def test_random_spd_residual(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((9, 9))
-        g = a @ a.T + 9 * np.eye(9)
-        b = rng.standard_normal((9, 4))
-        x = solve_spd(g, b)
-        assert np.max(np.abs(g @ x - b)) < 1e-10 * np.max(np.abs(b))
+    def test_real_basis_orthonormal(self):
+        for dim in range(1, 12):
+            basis = _hermitian_from_coordinates(np.eye(dim * dim), dim)
+            assert hermiticity_deviation(basis) == 0.0
+            overlaps = np.einsum("aij,bji->ab", basis, basis)
+            assert np.max(np.abs(overlaps - np.eye(dim * dim))) <= 2 * EPS, dim
 
-    def test_complex_rhs(self):
-        rng = np.random.default_rng(10)
-        a = rng.standard_normal((5, 5))
-        g = a @ a.T + 5 * np.eye(5)
-        b = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        x = solve_spd(g, b)
-        assert np.max(np.abs(g @ x - b)) < 1e-10 * np.max(np.abs(b))
+    def test_coordinates_are_traces_against_the_basis(self):
+        for dim in (1, 2, 5, 11):
+            rng = np.random.default_rng(20 + dim)
+            a = np.array([random_hermitian(dim, rng) for _ in range(3)])
+            basis = _hermitian_from_coordinates(np.eye(dim * dim), dim)
+            traces = np.einsum("kij,aji->ka", a, basis)
+            coords = _hermitian_coordinates(a)
+            assert coords.dtype == float
+            assert np.max(np.abs(coords - traces.real)) <= 8 * EPS * np.max(np.abs(a)), dim
+            assert np.max(np.abs(_hermitian_from_coordinates(coords, dim) - a)) \
+                <= 4 * EPS * np.max(np.abs(a)), dim
 
-    def test_not_positive_definite(self):
-        with pytest.raises(SingularMatrixError) as info:
-            solve_spd(np.diag([1.0, -1.0]), np.ones(2))
-        assert info.value.condition_estimate >= 1.0
+    def test_duals_invert_quorum_matrix(self, quorum_for):
+        # A backward-stable inverse X of T leaves |T X - I| <~ N kappa(T) eps
+        # (see build_quorum); the duals hold d X.  Duals solved from the Gram
+        # matrix instead exceed this bound at 2s = 7, 9 and 10.
+        for two_s in range(11):
+            q = quorum_for(two_s)
+            t = _hermitian_coordinates(q.projectors)
+            assert np.max(np.abs(t @ t.T - q.gram)) <= q.size * EPS, two_s
+            coefficients = _hermitian_coordinates(q.duals).T
+            residual = np.max(np.abs(t @ coefficients - q.dim * np.eye(q.size)))
+            assert residual <= q.size * q.dim * np.linalg.cond(t) * EPS, two_s
 
-    def test_singular(self):
-        with pytest.raises(SingularMatrixError):
-            solve_spd(np.ones((3, 3)), np.ones(3))
+    def test_duplicated_direction_singular(self):
+        # Cone 1 repeats cone 0 at 2s = 4: five directions appear twice.
+        base = default_config(Spin(4))
+        cones = (base.cone_angles[0],) + base.cone_angles[:1] + base.cone_angles[2:]
+        offsets = (base.azimuth_offsets[0],) + base.azimuth_offsets[:1] + base.azimuth_offsets[2:]
+        with pytest.raises(SingularQuorumError):
+            build_quorum(QuorumConfig(Spin(4), cones, offsets))
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            solve_spd(np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2))
+    def test_failed_inverse_is_singular_quorum_error(self, monkeypatch):
+        def singular(_a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(SingularQuorumError, match="quorum matrix is singular"):
+            build_quorum(default_config(Spin(2)))
 
 
 class TestExpmReal:
