@@ -497,7 +497,7 @@ def cmd_evolve(args):
         "oracle_max_deviation": (float(np.max(trajectory.oracle_dev))
                                  if oracle is not None else None),
     }
-    _write_text(summary_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write_text(summary_path, json.dumps(summary, sort_keys=True) + "\n")
     return EXIT_OK
 
 def _build_parser():

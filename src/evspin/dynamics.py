@@ -122,9 +122,6 @@ class DrivenGenerator:
     def matrix_at(self, t):
         return self.static.matrix + self.envelope(t) * self.drive.matrix
 
-    def hamiltonian_at(self, t):
-        return self.static.hamiltonian + self.envelope(t) * self.drive.hamiltonian
-
 
 def build_generator(hmat, quorum):
     """Build and verify the flow generator for Hamiltonian ``hmat``.
@@ -306,7 +303,39 @@ class Trajectory:
         return float(np.max(np.abs(self.e_dot_p - self.e_dot_p[0])))
 
 
-def _rk4(blocks, weights, p0, times, substeps):
+def _rk4_step_counts(gaps, substeps):
+    """rk4 steps per grid interval, so that no step exceeds about min(gaps) / substeps."""
+    h_target = float(np.min(gaps, initial=np.inf)) / substeps
+    return np.maximum(1, np.ceil(gaps / h_target - 1e-9)).astype(int)
+
+
+# rk4's amplification polynomial 1 + z + z^2/2 + z^3/6 + z^4/24 has modulus at
+# most 1 on the imaginary axis z = i y exactly for |y| <= 2 sqrt(2).
+_RK4_LIMIT = 2.0 * math.sqrt(2.0)
+
+
+def _rk4_stable_step_counts(gaps, substeps, omega):
+    """Step counts per grid interval, refused before any step if rk4 would be unstable.
+
+    M's eigenvalues are i times Bohr frequencies, all of modulus at most
+    ``omega``, so the largest step h must keep h * omega within 2 sqrt(2).
+    The error names the smallest ``substeps`` that does.  A non-finite
+    ``omega`` is left to the check of the rows for finiteness.
+    """
+    counts = _rk4_step_counts(gaps, substeps)
+    step = float(np.max(gaps / counts, initial=0.0))
+    if math.isfinite(omega) and step * omega > _RK4_LIMIT:
+        needed = math.ceil(float(np.min(gaps)) * omega / _RK4_LIMIT)
+        while float(np.max(gaps / _rk4_step_counts(gaps, needed))) * omega > _RK4_LIMIT:
+            needed += 1
+        raise InvariantViolationError(
+            f"rk4 step h = {step:.6g} is outside rk4's stability region: h * omega = "
+            f"{step * omega:.6g} exceeds 2 sqrt(2), where omega = {omega:.6g} bounds the "
+            f"Bohr frequencies; use substeps >= {needed} (now {substeps})")
+    return counts
+
+
+def _rk4(blocks, weights, p0, times, counts):
     """Fixed-step rk4 rows for dP/dt = M(t) P with M(t) = sum_b w_b(t) M_b.
 
     ``blocks`` stacks the B matrices M_b on top of each other, (B N, N), and
@@ -315,21 +344,16 @@ def _rk4(blocks, weights, p0, times, substeps):
     once per distinct stage time: k2 and k3 share the midpoint, and k1
     takes the previous step's k4 value inside a grid interval.  Stage times
     are t, t + h/2 and t + h with t accumulated step by step from each grid
-    point, h = (grid gap) / ceil(gap / h_target).
+    point, h = (grid gap) / counts[interval].
     """
     values = np.empty((times.size, p0.size))
     values[0] = p0
-    if times.size == 1:
-        return values
-    h_target = float(np.min(np.diff(times))) / substeps
     p = p0.copy()
     for i in range(1, times.size):
-        gap = times[i] - times[i - 1]
-        nsub = max(1, math.ceil(gap / h_target - 1e-9))
-        h = gap / nsub
+        h = (times[i] - times[i - 1]) / counts[i - 1]
         t = times[i - 1]
         w_end = weights(t)
-        for _ in range(nsub):
+        for _ in range(counts[i - 1]):
             w_start, w_mid, w_end = w_end, weights(t + h / 2.0), weights(t + h)
             k1 = w_start @ (blocks @ p).reshape(w_start.size, -1)
             k2 = w_mid @ (blocks @ (p + (h / 2.0) * k1)).reshape(w_mid.size, -1)
@@ -358,7 +382,11 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
         fixed step h = (smallest grid gap) / substeps; a driven stage applies
         M(t) = M_static + f(t) M_drive as one product of the stacked
         [M_static; M_drive] with the stage vector, combined with [1, f(t)],
-        and never forms M(t) itself.  A non-finite rk4 row raises
+        and never forms M(t) itself.  Before the first step, h * omega must
+        lie within rk4's stability limit 2 sqrt(2) on the imaginary axis,
+        omega bounding the Bohr frequencies: the spread of H's eigenvalues,
+        or spread(H0) + max|f| spread(H1) for a drive (Weyl's inequality).
+        Otherwise, and for any non-finite rk4 row, it raises
         ``InvariantViolationError``.
     oracle : (d, d) array_like, optional
         Initial density matrix; when given (autonomous generators only) the
@@ -392,13 +420,17 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
             envelope = gen.envelope
             blocks = np.vstack([gen.static.matrix, gen.drive.matrix])
             weights = lambda t: np.array([1.0, envelope(t)])
+            omega = (float(np.ptp(gen.static.h_eigenvalues))
+                     + envelope.max_abs * float(np.ptp(gen.drive.h_eigenvalues)))
         else:
             one = np.ones(1)
             blocks, weights = gen.matrix, lambda _t: one
-        # Outside rk4's stability region the rows overflow; that is reported
-        # once, below, rather than as numpy warnings and NaN rows.
+            omega = float(np.ptp(gen.h_eigenvalues))
+        counts = _rk4_stable_step_counts(np.diff(times), substeps, omega)
+        # Rows that overflow all the same are reported once, below, rather
+        # than as numpy warnings and NaN rows.
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _rk4(blocks, weights, p0.values, times, substeps)
+            values = _rk4(blocks, weights, p0.values, times, counts)
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
             raise InvariantViolationError(

@@ -26,7 +26,7 @@ from .errors import (
     SingularQuorumError,
 )
 from .linalg import settings
-from .spin import Direction, Spin, _as_spin, _freeze, coherent_amplitudes, spin_operators
+from .spin import Direction, Spin, _as_spin, _freeze, coherent_amplitudes
 
 __all__ = [
     "QuorumConfig",
@@ -172,17 +172,21 @@ def _hermitian_from_coordinates(x, d):
 def build_quorum(config, ops=None):
     """Construct the full quorum for ``config``, verifying all invariants.
 
-    Steps: lay out directions cone-major, build all coherent states with one
-    stacked eigendecomposition (``coherent_amplitudes``) and their
-    projectors, form the Gram matrix G_{nn'} = |<n|n'>|^2 and its
-    eigenvalues (positive definiteness, condition number).  The duals come
-    from one real square solve: the quorum matrix T[n, a] = Tr[Q_n B_a] in
-    the real orthonormal basis of ``_hermitian_coordinates`` is inverted,
-    and dual_m = (2s+1) sum_a (T^{-1})[a, m] B_a is scattered back into
+    Steps: lay out directions cone-major, build all coherent states in
+    closed form (``coherent_amplitudes``) and their projectors, and check
+    the projectors through the norms: for Q = |psi><psi|,
+    Q^2 - Q = (|psi|^2 - 1) Q and Tr Q = |psi|^2.  Form the Gram matrix
+    G_{nn'} = |<n|n'>|^2 and its eigenvalues (positive definiteness,
+    condition number).  The duals come from one real square solve: the
+    quorum matrix T[n, a] = Tr[Q_n B_a] in the real orthonormal basis of
+    ``_hermitian_coordinates`` is inverted, and
+    dual_m = (2s+1) sum_a (T^{-1})[a, m] B_a is scattered back into
     operators, Hermitian by construction.  Then Hermiticity of the duals,
-    duality (the matrix <n|dual_m|n> / (2s+1) as one product of flattened
-    (N, d^2) stacks) and the identity expansion
-    sum_n Tr[dual_n] Q_n = (2s+1) * identity are checked.
+    duality (the matrix Tr[Q_n dual_m] / (2s+1) as the real product of T
+    with the duals' coordinates, gathered again from the scattered
+    operators) and the identity expansion
+    sum_n Tr[dual_n] Q_n = (2s+1) * identity are checked.  ``ops``, if
+    given, must belong to the config's spin; it is not otherwise used.
 
     Error model: LU with partial pivoting is backward stable, so the
     computed inverse X satisfies (T + dT) X = I with |dT| ~ N eps |T|, and
@@ -207,7 +211,6 @@ def build_quorum(config, ops=None):
     spin = config.spin
     d = spin.dim
     size = spin.quorum_size
-    ops = spin_operators(spin) if ops is None else ops
 
     directions = []
     for theta, offset in zip(config.cone_angles, config.azimuth_offsets):
@@ -220,12 +223,12 @@ def build_quorum(config, ops=None):
                                      [dirn.phi for dirn in directions], ops)
 
     projectors = amplitudes[:, :, None] * amplitudes[:, None, :].conj()
-    idem = np.max(np.abs(np.matmul(projectors, projectors) - projectors))
-    traces = np.einsum("nii->n", projectors)
-    trace_dev = np.max(np.abs(traces - 1.0))
-    if max(float(idem), float(trace_dev)) > settings.hermiticity_tol:
+    # Q = |psi><psi| has Q^2 - Q = (|psi|^2 - 1) Q and Tr Q = |psi|^2, so the
+    # norms bound both idempotency and trace.
+    norm_dev = float(np.max(np.abs(np.einsum("nii->n", projectors).real - 1.0)))
+    if norm_dev > settings.hermiticity_tol:
         raise InvariantViolationError(
-            f"projector self-check failed: idempotency {idem:.3e}, trace {trace_dev:.3e}")
+            f"projector self-check failed: idempotency and trace off by {norm_dev:.3e}")
 
     overlaps = amplitudes.conj() @ amplitudes.T
     gram = np.abs(overlaps) ** 2
@@ -246,8 +249,9 @@ def build_quorum(config, ops=None):
             f"{settings.condition_warn_threshold:.1e}; reconstructions may lose accuracy",
             IllConditionedQuorumWarning, stacklevel=2)
 
+    quorum_matrix = _hermitian_coordinates(projectors)
     try:
-        inverse = np.linalg.inv(_hermitian_coordinates(projectors))
+        inverse = np.linalg.inv(quorum_matrix)
     except np.linalg.LinAlgError as exc:
         raise SingularQuorumError(
             f"quorum matrix is singular ({exc}); direction set is not "
@@ -258,10 +262,10 @@ def build_quorum(config, ops=None):
     if herm_dev > settings.realness_tol * dual_scale:
         raise InvariantViolationError(f"dual basis asymmetric by {herm_dev:.3e}")
 
-    # delta[n, m] = <n|dual_m|n> / (2s+1): one product of flattened stacks,
-    # (conj(psi_n) psi_n^T) against dual_m entry by entry.
-    sandwiches = (amplitudes.conj()[:, :, None] * amplitudes[:, None, :]).reshape(size, d * d)
-    delta = sandwiches @ duals.reshape(size, d * d).T / d
+    # delta[n, m] = Tr[Q_n dual_m] / (2s+1) = <n|dual_m|n> / (2s+1), as one
+    # real product of coordinates.  Those of the duals are gathered afresh
+    # from the scattered operators, so the scatter is checked too.
+    delta = quorum_matrix @ _hermitian_coordinates(duals).T / d
     duality_residual = float(np.max(np.abs(delta - np.eye(size))))
     if duality_residual > settings.duality_tol:
         raise InvariantViolationError(

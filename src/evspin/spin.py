@@ -5,9 +5,10 @@ Conventions used package-wide:
 * hbar = 1, so Hamiltonian coefficients are angular frequencies.
 * Basis ordering mu = s, s-1, ..., -s; the maximal-projection state along z
   is the first basis vector.
-* Coherent states are built by rotating that state with the exact axis
-  rotation exp(-i theta m(phi).s), m(phi) = (-sin phi, cos phi, 0), with no
-  additional phase applied.
+* Coherent states are that state rotated by exp(-i theta m(phi).s),
+  m(phi) = (-sin phi, cos phi, 0), with no additional phase applied.  The
+  rotation is evaluated in closed form: the amplitude on basis index k
+  (mu = s - k) is sqrt(C(2s, k)) cos^(2s-k)(theta/2) sin^k(theta/2) e^(i k phi).
 """
 
 import math
@@ -175,27 +176,44 @@ class CoherentState:
 def coherent_amplitudes(spin, thetas, phis, ops=None):
     """Amplitudes of the coherent states along (thetas[k], phis[k]), shape (K, d).
 
-    Rotates the maximal sz eigenstate about the in-plane axis
-    m(phi) = (-sin phi, cos phi, 0) by theta, computing each rotation
-    through the eigendecomposition of m(phi).s.  All K axis operators are
-    decomposed in one stacked call, which gives every row bit for bit what a
-    separate call per direction would.  The independent binomial form of
-    the amplitude magnitudes is deliberately *not* used here so it stays
-    available as a cross-check.
+    The rotation exp(-i theta m(phi).s) of the maximal sz eigenstate, with
+    m(phi) = (-sin phi, cos phi, 0), has the closed form (Arecchi, Courtens,
+    Gilmore & Thomas, PRA 6, 2211, 1972)
+
+        a_k = sqrt(C(2s, k)) cos^(2s-k)(theta/2) sin^k(theta/2) e^(i k phi)
+
+    for basis index k, mu = s - k.  The half-angle cosines and sines and the
+    azimuth's cosine and sine are taken per angle with ``math``; powers and
+    phases then follow by repeated real multiplication, one rounded
+    operation per step, so every row is bit for bit what a separate call per
+    direction gives.  ``ops``, if given, must belong to ``spin``; it is not
+    otherwise used.
     """
     spin = _as_spin(spin)
-    ops = spin_operators(spin) if ops is None else ops
-    if ops.spin != spin:
+    if ops is not None and ops.spin != spin:
         raise DimensionMismatchError("operators belong to a different spin")
-    thetas = np.asarray(thetas, dtype=float)
-    # math.sin/cos per angle: a vectorised loop may round a row differently
-    # depending on where it falls in the batch.
-    sines = np.array([math.sin(phi) for phi in phis])
-    cosines = np.array([math.cos(phi) for phi in phis])
-    axis_ops = -sines[:, None, None] * ops.sx + cosines[:, None, None] * ops.sy
-    w, v = hermitian_eigendecomposition(axis_ops)
-    phases = np.exp(-1j * thetas[:, None] * w) * v[:, 0, :].conj()
-    return (v @ phases[:, :, None])[:, :, 0]
+    two_s = spin.two_s
+    halves = [0.5 * float(theta) for theta in thetas]
+    # Columns j = 0..2s of [1, x, x, ...] multiplied out: x^j.
+    powers = np.ones((2, len(halves), spin.dim))
+    powers[0, :, 1:] = np.array([math.cos(h) for h in halves])[:, None]
+    powers[1, :, 1:] = np.array([math.sin(h) for h in halves])[:, None]
+    cos_pow, sin_pow = np.cumprod(powers, axis=2)
+    binomial = np.sqrt([float(math.comb(two_s, k)) for k in range(spin.dim)])
+    magnitudes = binomial * cos_pow[:, ::-1] * sin_pow
+    # e^(i k phi) by the angle-addition recurrence, in real arithmetic.
+    cos_phi = np.array([math.cos(phi) for phi in phis])
+    sin_phi = np.array([math.sin(phi) for phi in phis])
+    real = np.empty_like(magnitudes)
+    imag = np.empty_like(magnitudes)
+    real[:, 0], imag[:, 0] = 1.0, 0.0
+    for k in range(1, spin.dim):
+        real[:, k] = real[:, k - 1] * cos_phi - imag[:, k - 1] * sin_phi
+        imag[:, k] = real[:, k - 1] * sin_phi + imag[:, k - 1] * cos_phi
+    amplitudes = np.empty(magnitudes.shape, dtype=complex)
+    amplitudes.real = magnitudes * real
+    amplitudes.imag = magnitudes * imag
+    return amplitudes
 
 
 def coherent_state(spin, direction, ops=None):
@@ -245,6 +263,13 @@ class Envelope:
                 raise ValueError("piecewise envelope needs len(values) == len(breakpoints) + 1")
             if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
                 raise ValueError("breakpoints must be strictly increasing")
+
+    @property
+    def max_abs(self):
+        """Largest |f(t)| over all t."""
+        if self.shape == "piecewise":
+            return max(abs(v) for v in self.values)
+        return abs(self.amplitude)
 
     def __call__(self, t):
         if self.shape == "constant":

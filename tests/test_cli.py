@@ -162,7 +162,7 @@ class TestEvolveCommand:
 
     def test_rk4_divergence_is_numerical_failure(self, tmp_path, capsys):
         # |h lambda| = 1e4 at 2s = 1, H = 1000 sz, h = 10: far outside
-        # rk4's stability region, so the rows overflow to NaN.
+        # rk4's stability region, refused before the first step.
         path, _ = write_config(tmp_path, hamiltonian={"linear": [0.0, 0.0, 1000.0]},
                                time_grid={"t_start": 0.0, "t_end": 400.0, "steps": 40},
                                method="rk4", substeps=1)
@@ -172,9 +172,30 @@ class TestEvolveCommand:
             assert main(["evolve", "--config", str(path), "--format", "json-lines",
                          "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: rk4 diverged: non-finite values at t = ")
-        assert "substeps" in err and err.count("\n") == 1
+        assert err.startswith("numerical failure: rk4 step h = 10 is outside rk4's "
+                              "stability region: h * omega = 10000 exceeds 2 sqrt(2)")
+        assert "use substeps >= 3536 (now 1)" in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_rk4_just_inside_stability_bound(self, tmp_path, capsys):
+        # H = 1000 sz, grid gap 0.1: h * omega = 100 / substeps, inside
+        # 2 sqrt(2) = 2.828 from substeps = 36 on (h * omega = 2.78).
+        def run(substeps):
+            path, _ = write_config(tmp_path, hamiltonian={"linear": [0.0, 0.0, 1000.0]},
+                                   time_grid={"t_start": 0.0, "t_end": 0.4, "steps": 4},
+                                   method="rk4", substeps=substeps)
+            out = tmp_path / f"traj{substeps}.csv"
+            return main(["evolve", "--config", str(path), "--out", str(out)]), out
+
+        status, out = run(35)
+        assert status == 3 and not out.exists()
+        assert "use substeps >= 36 (now 35)" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out = run(36)
+        assert status == 0
+        _, _, rows = read_table(out)
+        assert rows.shape[0] == 5 and np.all(np.isfinite(rows))
 
     def test_pvector_initial_state(self, tmp_path):
         path, _ = write_config(tmp_path,
@@ -396,10 +417,9 @@ class TestOutputPaths:
         path, _ = write_config(tmp_path)
         assert main(["evolve", "--config", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        cut = lines.index("{")
         assert lines[0].startswith("# config_hash = ")
-        assert len([l for l in lines[:cut] if not l.startswith("#")]) == 1 + 21
-        assert json.loads("\n".join(lines[cut:]))["method"] == "exact-expm"
+        assert len([l for l in lines[:-1] if not l.startswith("#")]) == 1 + 21
+        assert json.loads(lines[-1])["method"] == "exact-expm"
 
     def test_only_evolve_reads_config_paths(self, tmp_path, capsys):
         traj = tmp_path / "traj.csv"

@@ -354,6 +354,56 @@ class TestPropagateGrid:
         assert np.max(np.abs(mixed_then_flowed.values - flowed_then_mixed.values)) < 1e-9
 
 
+class TestRk4StabilityGuard:
+    """rk4 is refused before its first step when h * omega > 2 sqrt(2)."""
+
+    def test_suggested_substeps_is_the_smallest(self, quorum_for):
+        # uneven gaps: the shortest one sets the longest step
+        q, gen, plus_x = larmor_setup(quorum_for, omega=37.0)
+        p0 = rho_to_pvec(plus_x, q)
+        times = np.array([0.0, 0.3, 0.55, 1.0, 1.2])
+        with pytest.raises(InvariantViolationError) as info:
+            propagate_grid(gen, p0, times, method="rk4", substeps=1)
+        needed = int(str(info.value).split("substeps >= ")[1].split(" ")[0])
+        with pytest.raises(InvariantViolationError):
+            propagate_grid(gen, p0, times, method="rk4", substeps=needed - 1)
+        propagate_grid(gen, p0, times, method="rk4", substeps=needed)
+
+    @pytest.mark.parametrize("envelope, max_abs", [
+        (Envelope(shape="constant", amplitude=-2.5), 2.5),
+        (Envelope(shape="cosine", amplitude=-2.5, frequency=3.0), 2.5),
+        # the largest value lies beyond the grid: the bound covers all of f
+        (Envelope(shape="piecewise", breakpoints=(0.5, 9.0), values=(1.0, -0.5, 2.5)), 2.5),
+    ], ids=["constant", "cosine", "piecewise"])
+    def test_driven_bound_is_weyl(self, quorum_for, envelope, max_abs):
+        # omega = spread(sz) + max|f| spread(sx) = 1 + 2.5 = 3.5 at 2s = 1
+        q = quorum_for(1)
+        ops = spin_operators(Spin(1))
+        spec = HamiltonianSpec(linear=(0, 0, 1.0),
+                               drive=Drive(HamiltonianSpec(linear=(1.0, 0, 0)), envelope))
+        dgen = build_driven_generator(spec, ops, q)
+        p0 = rho_to_pvec(maximally_mixed(2), q)
+        assert envelope.max_abs == max_abs
+        times = np.array([0.0, 1.0])
+        with pytest.raises(InvariantViolationError, match=r"omega = 3.5 .*substeps >= 2 "):
+            propagate_grid(dgen, p0, times, method="rk4", substeps=1)
+        propagate_grid(dgen, p0, times, method="rk4", substeps=2)
+
+    def test_non_finite_rows_still_caught(self, quorum_for):
+        # an infinite drive leaves omega without a finite bound; the rows
+        # then overflow and are caught after the steps
+        q = quorum_for(1)
+        ops = spin_operators(Spin(1))
+        spec = HamiltonianSpec(
+            linear=(0, 0, 1.0),
+            drive=Drive(HamiltonianSpec(linear=(1.0, 0, 0)),
+                        Envelope(shape="constant", amplitude=math.inf)))
+        dgen = build_driven_generator(spec, ops, q)
+        p0 = rho_to_pvec(maximally_mixed(2), q)
+        with pytest.raises(InvariantViolationError, match="non-finite values at t = 1"):
+            propagate_grid(dgen, p0, np.array([0.0, 1.0]), method="rk4", substeps=3)
+
+
 class TestFixedPoints:
     def test_larmor_fixed_points(self, quorum_for):
         q = quorum_for(1)

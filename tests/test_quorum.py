@@ -5,6 +5,7 @@ import pytest
 
 from evspin import (
     IllConditionedQuorumWarning,
+    InvariantViolationError,
     Spin,
     SingularQuorumError,
     build_quorum,
@@ -15,6 +16,7 @@ from evspin import (
     settings,
     spin_operators,
 )
+import evspin.quorum as quorum_module
 from evspin.quorum import QuorumConfig
 
 
@@ -149,6 +151,28 @@ class TestBuildQuorum:
         with pytest.raises(SingularQuorumError) as info:
             build_quorum(cfg)
         assert info.value.min_eigenvalue < 1e-12
+
+    def test_unnormalized_states_fail_projector_check(self, monkeypatch):
+        # |psi|^2 = 1 + 2e-11: Tr Q and Q^2 - Q are off by that much
+        original = quorum_module.coherent_amplitudes
+        monkeypatch.setattr(quorum_module, "coherent_amplitudes",
+                            lambda *args: original(*args) * (1.0 + 1e-11))
+        with pytest.raises(InvariantViolationError, match="projector self-check failed"):
+            build_quorum(default_config(Spin(2)))
+
+    def test_faulty_scatter_fails_duality_check(self, monkeypatch):
+        # the duality check gathers the duals' coordinates from the scattered
+        # operators, so a fault in the scatter cannot pass unseen
+        original = quorum_module._hermitian_from_coordinates
+
+        def scatter(x, d):
+            a = original(x, d)
+            a[..., 0, 0] += 1e-6
+            return a
+
+        monkeypatch.setattr(quorum_module, "_hermitian_from_coordinates", scatter)
+        with pytest.raises(InvariantViolationError, match="duality residual"):
+            build_quorum(default_config(Spin(2)))
 
     def test_ill_conditioned_warns(self, monkeypatch):
         monkeypatch.setattr(settings, "condition_warn_threshold", 10.0)

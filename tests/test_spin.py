@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import comb
+from hypothesis import given, settings, strategies as st
 
 from evspin import (
     Direction,
@@ -17,6 +17,7 @@ from evspin import (
     coherent_state,
     evolve_density_matrix,
     hamiltonian_at,
+    hermitian_eigendecomposition,
     maximally_mixed,
     pure_state_density,
     random_density_matrix,
@@ -101,6 +102,17 @@ class TestDirection:
         assert abs(a.angle_to(b) - math.pi / 2) < 1e-14
 
 
+def rotated_highest_weight(spin, theta, phi):
+    """exp(-i theta m(phi).s)|s,s>, m(phi) = (-sin phi, cos phi, 0), through eigh of m.s.
+
+    The rotation is built from the eigendecomposition of the axis operator,
+    independently of the closed form that ``coherent_amplitudes`` evaluates.
+    """
+    ops = spin_operators(spin)
+    w, v = hermitian_eigendecomposition(-math.sin(phi) * ops.sx + math.cos(phi) * ops.sy)
+    return v @ (np.exp(-1j * theta * w) * v[0, :].conj())
+
+
 class TestCoherentState:
     def test_north_pole(self):
         for two_s in (0, 1, 2, 5):
@@ -135,19 +147,25 @@ class TestCoherentState:
             assert np.linalg.norm(residual) < 1e-10
             assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("two_s", [1, 2, 3, 6])
-    def test_amplitude_magnitudes_binomial(self, two_s):
-        # independent closed form, never used in the construction:
-        # |<s,mu|n>| = sqrt(C(2s, s+mu)) cos^(s+mu)(t/2) sin^(s-mu)(t/2)
+    @pytest.mark.parametrize("two_s", range(15))
+    def test_amplitudes_match_rotation_by_eigendecomposition(self, two_s):
+        # full complex amplitudes, phases included, poles included
         spin = Spin(two_s)
         rng = np.random.default_rng(100 + two_s)
-        for _ in range(10):
-            theta = math.acos(1 - 2 * rng.random())
-            st = coherent_state(spin, Direction(theta, 2 * math.pi * rng.random()))
-            i = np.arange(spin.dim)
-            expected = np.sqrt(comb(two_s, two_s - i)) \
-                * np.cos(theta / 2) ** (two_s - i) * np.sin(theta / 2) ** i
-            np.testing.assert_allclose(np.abs(st.amplitudes), expected, atol=1e-10)
+        thetas = [0.0, math.pi, 0.0, math.pi] + list(np.arccos(1 - 2 * rng.random(10)))
+        phis = [0.0, 0.0, 2.0, 4.5] + list(2 * math.pi * rng.random(10))
+        amplitudes = coherent_amplitudes(spin, thetas, phis)
+        for row, theta, phi in zip(amplitudes, thetas, phis):
+            assert np.max(np.abs(row - rotated_highest_weight(spin, theta, phi))) < 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(two_s=st.integers(min_value=0, max_value=12),
+           theta=st.floats(min_value=0.0, max_value=math.pi),
+           phi=st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True))
+    def test_amplitudes_property(self, two_s, theta, phi):
+        spin = Spin(two_s)
+        row = coherent_state(spin, Direction(theta, phi)).amplitudes
+        assert np.max(np.abs(row - rotated_highest_weight(spin, theta, phi))) < 1e-14
 
     @pytest.mark.parametrize("two_s", [0, 1, 4, 10])
     def test_stacked_amplitudes_match_single_states(self, two_s):
