@@ -12,6 +12,7 @@ self-check, convergence, rk4 divergence).
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -81,7 +82,15 @@ def _load_config(path):
 def _number(value, field):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field '{field}' must be a number")
-    return float(value)
+    # json.load reads Infinity, NaN and 1e400 as non-finite floats, and a
+    # long integer literal may not fit a float; no field accepts either.
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"field '{field}' must be a finite number")
+    return number
 
 
 def _number_list(value, field, length=None):

@@ -106,9 +106,11 @@ class DrivenGenerator:
 
     The generator is linear in the Hamiltonian, so a drive
     H(t) = H0 + f(t) H1 needs only the two constituent generators.
-    ``propagate_grid`` applies M(t) to a vector as
-    M_static P + f(t) M_drive P and never assembles it; ``matrix_at`` forms
-    the matrix at one time for inspection.
+    ``propagate_grid`` never assembles M(t): each rk4 stage applies the
+    stacked [M_static; M_drive] to the stage vector once, and the weights
+    1 and f(t) enter only through the coefficient rows that combine those
+    products (see ``_rk4``).  ``matrix_at`` forms the matrix at one time
+    for inspection.
     """
 
     static: Generator
@@ -335,32 +337,73 @@ def _rk4_stable_step_counts(gaps, substeps, omega):
     return counts
 
 
+# rk4 as coefficients of the stage products k1..k4: one row for each stage
+# input x2, x3, x4 (x_s = P + h * row . k) and one for the step result.
+_RK4_TABLEAU = np.array([
+    [0.5, 0.0, 0.0, 0.0],
+    [0.0, 0.5, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0],
+    [1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0],
+])
+# k1..k4 are taken at the start, the midpoint (twice) and the end of a step:
+# stage times 2j, 2j + 1 and 2j + 2 of step j in an interval.
+_RK4_STAGE_TIME = np.array([0, 1, 1, 2])
+
+
 def _rk4(blocks, weights, p0, times, counts):
     """Fixed-step rk4 rows for dP/dt = M(t) P with M(t) = sum_b w_b(t) M_b.
 
     ``blocks`` stacks the B matrices M_b on top of each other, (B N, N), and
-    ``weights(t)`` returns the B coefficients w_b(t), so one stage is one
-    product of the stack with the stage vector.  The weights are evaluated
-    once per distinct stage time: k2 and k3 share the midpoint, and k1
-    takes the previous step's k4 value inside a grid interval.  Stage times
-    are t, t + h/2 and t + h with t accumulated step by step from each grid
-    point, h = (grid gap) / counts[interval].
+    ``weights(ts)`` returns the coefficients w_b at each stage time in
+    ``ts``, (len(ts), B).  Stage times are t, t + h/2 and t + h with t
+    accumulated step by step from each grid point,
+    h = (grid gap) / counts[interval]; the weights are evaluated once per
+    distinct stage time of an interval, in one call.
+
+    M(t) is linear in the weights, so k_s = sum_b w_b(t_s) (M_b x_s), and
+    every stage input x_s = P + a_s h k_{s-1} and the step result
+    P + h/6 (k1 + 2 k2 + 2 k3 + k4) is a fixed linear combination of P and
+    the products M_b x_s.  These sit in one buffer z of 1 + 4B rows: row 0
+    is P, and stage s writes its B products into rows 1 + (s-1)B .. sB in
+    place.  Each combination is then one product of a coefficient row with
+    z, and a step is 4 products of the stack, 4 row products and one copy.
+    The coefficient rows of an interval are built in one pass from h and
+    the interval's weights.
     """
+    nblocks = blocks.shape[0] // p0.size
+    # zeros, not empty: the first step's rows multiply the unwritten stage
+    # rows by 0, and 0 * NaN would be NaN
+    z = np.zeros((1 + 4 * nblocks, p0.size))
+    z[0] = p0
+    p = z[0]
+    products = [z[1 + s * nblocks:1 + (s + 1) * nblocks].reshape(-1) for s in range(4)]
+    x = np.empty(p0.size)
     values = np.empty((times.size, p0.size))
     values[0] = p0
-    p = p0.copy()
-    for i in range(1, times.size):
-        h = (times[i] - times[i - 1]) / counts[i - 1]
-        t = times[i - 1]
-        w_end = weights(t)
-        for _ in range(counts[i - 1]):
-            w_start, w_mid, w_end = w_end, weights(t + h / 2.0), weights(t + h)
-            k1 = w_start @ (blocks @ p).reshape(w_start.size, -1)
-            k2 = w_mid @ (blocks @ (p + (h / 2.0) * k1)).reshape(w_mid.size, -1)
-            k3 = w_mid @ (blocks @ (p + (h / 2.0) * k2)).reshape(w_mid.size, -1)
-            k4 = w_end @ (blocks @ (p + h * k3)).reshape(w_end.size, -1)
-            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
+    gaps = np.diff(times)
+    for i, (gap, count) in enumerate(zip(gaps, counts), start=1):
+        h = gap / count
+        ticks = np.full(count + 1, h)
+        ticks[0] = times[i - 1]
+        ticks = np.cumsum(ticks)  # t += h, one step at a time
+        stage_times = np.empty(2 * count + 1)
+        stage_times[0::2] = ticks
+        stage_times[1::2] = ticks[:-1] + h / 2.0
+        # (count, 4, B): the weights of k1..k4 of every step
+        stage_weights = weights(stage_times)[2 * np.arange(count)[:, None] + _RK4_STAGE_TIME]
+        rows = np.ones((count, 4, z.shape[0]))
+        rows[:, :, 1:] = (h * _RK4_TABLEAU[:, :, None] * stage_weights[:, None]).reshape(
+            count, 4, -1)
+        for to_x2, to_x3, to_x4, to_p in rows:
+            np.dot(blocks, p, out=products[0])
+            np.dot(to_x2, z, out=x)
+            np.dot(blocks, x, out=products[1])
+            np.dot(to_x3, z, out=x)
+            np.dot(blocks, x, out=products[2])
+            np.dot(to_x4, z, out=x)
+            np.dot(blocks, x, out=products[3])
+            np.dot(to_p, z, out=x)
+            p[:] = x
         values[i] = p
     return values
 
@@ -379,13 +422,17 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
     method : {"exact-expm", "rk4"}
         Exact propagation applies exp(t M) through the generator's certified
         eigenbasis, for the whole grid in one product.  rk4 advances with
-        fixed step h = (smallest grid gap) / substeps; a driven stage applies
-        M(t) = M_static + f(t) M_drive as one product of the stacked
-        [M_static; M_drive] with the stage vector, combined with [1, f(t)],
-        and never forms M(t) itself.  Before the first step, h * omega must
-        lie within rk4's stability limit 2 sqrt(2) on the imaginary axis,
-        omega bounding the Bohr frequencies: the spread of H's eigenvalues,
-        or spread(H0) + max|f| spread(H1) for a drive (Weyl's inequality).
+        fixed step h = (smallest grid gap) / substeps, shortened so that
+        each grid interval holds a whole number of steps.  Autonomous and
+        driven runs share one loop (``_rk4``): a stage is one product of M,
+        or of the stacked [M_static; M_drive], with the stage vector, and
+        every stage input and step result is one coefficient row, built
+        from h and f at the stage times, applied to P and those products.
+        f is evaluated once per distinct stage time and M(t) is never
+        formed.  Before the first step, h * omega must lie within rk4's
+        stability limit 2 sqrt(2) on the imaginary axis, omega bounding the
+        Bohr frequencies: the spread of H's eigenvalues, or
+        spread(H0) + max|f| spread(H1) for a drive (Weyl's inequality).
         Otherwise, and for any non-finite rk4 row, it raises
         ``InvariantViolationError``.
     oracle : (d, d) array_like, optional
@@ -419,12 +466,16 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
         if driven:
             envelope = gen.envelope
             blocks = np.vstack([gen.static.matrix, gen.drive.matrix])
-            weights = lambda t: np.array([1.0, envelope(t)])
+
+            def weights(ts):
+                w = np.ones((ts.size, 2))
+                w[:, 1] = [envelope(t) for t in ts.tolist()]
+                return w
+
             omega = (float(np.ptp(gen.static.h_eigenvalues))
                      + envelope.max_abs * float(np.ptp(gen.drive.h_eigenvalues)))
         else:
-            one = np.ones(1)
-            blocks, weights = gen.matrix, lambda _t: one
+            blocks, weights = gen.matrix, lambda ts: np.ones((ts.size, 1))
             omega = float(np.ptp(gen.h_eigenvalues))
         counts = _rk4_stable_step_counts(np.diff(times), substeps, omega)
         # Rows that overflow all the same are reported once, below, rather

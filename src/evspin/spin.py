@@ -11,6 +11,7 @@ Conventions used package-wide:
   (mu = s - k) is sqrt(C(2s, k)) cos^(2s-k)(theta/2) sin^k(theta/2) e^(i k phi).
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -276,8 +277,7 @@ class Envelope:
             return self.amplitude
         if self.shape == "cosine":
             return self.amplitude * math.cos(self.frequency * float(t) + self.phase)
-        idx = int(np.searchsorted(self.breakpoints, float(t), side="right"))
-        return self.values[idx]
+        return self.values[bisect.bisect_right(self.breakpoints, float(t))]
 
 
 @dataclass(frozen=True)

@@ -325,6 +325,35 @@ class TestConfigErrors:
         path, _ = write_config(tmp_path, initial_state={"pvector": [1.0, 0.0]})
         assert main(["evolve", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"hamiltonian": {"linear": [0.0, 0.0, 1.0],
+                          "drive": {"linear": [0.3, 0.0, 0.0],
+                                    "envelope": {"shape": "cosine", "amplitude": math.inf,
+                                                 "frequency": 2.0}}},
+          "method": "rk4"}, "envelope.amplitude"),
+        ({"hamiltonian": {"linear": [math.inf, 0.0, 1.0]}}, "hamiltonian.linear[0]"),
+        ({"time_grid": {"t_start": 0.0, "t_end": math.nan, "steps": 20}}, "time_grid.t_end"),
+        ({"initial_state": {"density_matrix": {"real": [[0.5, 0.0], [0.0, 0.5]],
+                                               "imag": [[0.0, -math.inf], [math.inf, 0.0]]}}},
+         "density_matrix.imag[1]"),
+        # json.load keeps a long integer literal as an int, too large for a float
+        ({"hamiltonian": {"linear": [0.0, 0.0, 10**400]}}, "hamiltonian.linear[2]"),
+        # and reads a float literal beyond the largest double as inf
+        ({"time_grid": {"t_start": 0.0, "t_end": "1e400", "steps": 20}}, "time_grid.t_end"),
+    ], ids=["drive-amplitude", "linear", "t_end", "density-matrix", "overflow-int",
+            "overflow-float"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, overrides, field):
+        path, _ = write_config(tmp_path, **overrides)
+        path.write_text(path.read_text().replace('"1e400"', "1e400"))
+        out = tmp_path / "traj.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: field '{field}' must be a finite number\n"
+        assert not out.exists()
+
 
 class TestRowFormatting:
     def test_template_matches_format_byte_for_byte(self, tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evspin import (
     DegenerateSpectrumWarning,
@@ -48,8 +49,8 @@ def einsum_trace_form(hmat, q):
     return m - np.outer(e, e @ m) / (e @ e)
 
 
-def rk4_assembling_matrix_at(dgen, p0, times, substeps):
-    """rk4 that forms M(t) = matrix_at(t) at every stage time, h as in propagate_grid."""
+def textbook_rk4(matrix_at, p0, times, substeps):
+    """Textbook rk4, k_i = M(t_i) @ x_i, with the stage times and h of propagate_grid."""
     h_target = float(np.min(np.diff(times))) / substeps
     p = p0.copy()
     rows = [p]
@@ -59,14 +60,19 @@ def rk4_assembling_matrix_at(dgen, p0, times, substeps):
         h = gap / nsub
         t = times[i - 1]
         for _ in range(nsub):
-            k1 = dgen.matrix_at(t) @ p
-            k2 = dgen.matrix_at(t + h / 2.0) @ (p + (h / 2.0) * k1)
-            k3 = dgen.matrix_at(t + h / 2.0) @ (p + (h / 2.0) * k2)
-            k4 = dgen.matrix_at(t + h) @ (p + h * k3)
+            k1 = matrix_at(t) @ p
+            k2 = matrix_at(t + h / 2.0) @ (p + (h / 2.0) * k1)
+            k3 = matrix_at(t + h / 2.0) @ (p + (h / 2.0) * k2)
+            k4 = matrix_at(t + h) @ (p + h * k3)
             p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += h
         rows.append(p)
     return np.array(rows)
+
+
+def rk4_assembling_matrix_at(dgen, p0, times, substeps):
+    """rk4 that forms M(t) = matrix_at(t) at every stage time, h as in propagate_grid."""
+    return textbook_rk4(dgen.matrix_at, p0, times, substeps)
 
 
 DRIVE_ENVELOPES = {
@@ -300,6 +306,18 @@ class TestPropagateGrid:
             reference = rk4_assembling_matrix_at(dgen, p0.values, times, 4)
             assert np.max(np.abs(traj.values - reference)) < 1e-13
 
+    @pytest.mark.parametrize("two_s", [2, 8])
+    def test_autonomous_rk4_is_textbook_rk4(self, quorum_for, two_s):
+        q = quorum_for(two_s)
+        rng = np.random.default_rng(60 + two_s)
+        gen = build_generator(random_hermitian(q.dim, rng), q)
+        p0 = rho_to_pvec(random_density_matrix(q.dim, rng), q)
+        times = np.concatenate([[-0.4], -0.4 + np.cumsum(rng.uniform(0.05, 0.4, 12))])
+        traj = propagate_grid(gen, p0, times, method="rk4", substeps=3)
+        reference = textbook_rk4(lambda _t: gen.matrix, p0.values, times, 3)
+        scale = max(1.0, float(np.max(np.abs(reference))))
+        assert np.max(np.abs(traj.values - reference)) < 1e-13 * scale
+
     def test_driven_rk4_never_forms_the_matrix(self, quorum_for, monkeypatch):
         dgen, p0 = driven_setup(quorum_for, DRIVE_ENVELOPES["cosine"])
         calls = []
@@ -352,6 +370,60 @@ class TestPropagateGrid:
         flowed_then_mixed = convex_mix(propagate_exact(gen, pa, t),
                                        propagate_exact(gen, pb, t), lam)
         assert np.max(np.abs(mixed_then_flowed.values - flowed_then_mixed.values)) < 1e-9
+
+
+@st.composite
+def driven_rk4_cases(draw):
+    """Random H0, H1, envelope, uneven grid and substeps at 2s <= 4."""
+    two_s = draw(st.integers(0, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    t0 = draw(st.floats(-1.0, 1.0))
+    gaps = draw(st.lists(st.floats(0.05, 0.5), min_size=1, max_size=6))
+    times = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    substeps = draw(st.integers(1, 5))
+    amplitudes = st.floats(-2.0, 2.0)
+    shape = draw(st.sampled_from(["constant", "cosine", "piecewise"]))
+    if shape == "constant":
+        envelope = Envelope(shape="constant", amplitude=draw(amplitudes))
+    elif shape == "cosine":
+        envelope = Envelope(shape="cosine", amplitude=draw(amplitudes),
+                            frequency=draw(st.floats(0.0, 5.0)),
+                            phase=draw(st.floats(0.0, 2 * math.pi)))
+    else:
+        # breakpoints on grid points, where a stage time lands exactly, and between them
+        on_grid = st.sampled_from(times.tolist())
+        between = st.floats(float(times[0]) - 0.5, float(times[-1]) + 0.5)
+        breakpoints = sorted(set(draw(st.lists(st.one_of(on_grid, between), max_size=4))))
+        values = draw(st.lists(amplitudes, min_size=len(breakpoints) + 1,
+                               max_size=len(breakpoints) + 1))
+        envelope = Envelope(shape="piecewise", breakpoints=breakpoints, values=values)
+    return two_s, seed, envelope, times, substeps
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=driven_rk4_cases())
+def test_driven_rk4_property(quorum_for, case):
+    """Driven rk4 equals rk4 assembling M(t) at every stage time.
+
+    H0 and H1 are scaled to spectral radius at most 1/2 and |f| <= 2, so
+    omega <= 1 + 2 * 1 = 3 and every step (at most 0.5) has h * omega <= 1.5,
+    inside rk4's stability limit 2 sqrt(2).
+    """
+    two_s, seed, envelope, times, substeps = case
+    q = quorum_for(two_s)
+    rng = np.random.default_rng(seed)
+
+    def unit_hermitian():
+        h = random_hermitian(q.dim, rng)
+        return 0.5 * h / max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(h)))))
+
+    static = build_generator(unit_hermitian(), q)
+    dgen = DrivenGenerator(static, build_generator(unit_hermitian(), q), envelope)
+    p0 = rho_to_pvec(random_density_matrix(q.dim, rng), q)
+    traj = propagate_grid(dgen, p0, times, method="rk4", substeps=substeps)
+    reference = rk4_assembling_matrix_at(dgen, p0.values, times, substeps)
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    assert np.max(np.abs(traj.values - reference)) < 1e-13 * scale
 
 
 class TestRk4StabilityGuard:
