@@ -21,12 +21,7 @@ from .errors import (
     NotHermitianError,
     SingularQuorumError,
 )
-from .linalg import (
-    Settings,
-    hermitian_eigendecomposition,
-    hermiticity_deviation,
-    settings,
-)
+from .linalg import hermitian_eigendecomposition, hermiticity_deviation
 from .spin import (
     CoherentState,
     Direction,

@@ -181,7 +181,13 @@ _STATE_VARIANTS = ("coherent", "basis", "maximally_mixed", "density_matrix",
                    "pvector", "random_pure")
 
 
-def _parse_initial_state(cfg, spin, ops, quorum):
+def _number_matrix(value, field, dim):
+    if not isinstance(value, list) or len(value) != dim:
+        raise ConfigError(f"field '{field}' must be a {dim}x{dim} list of lists of numbers")
+    return np.array([_number_list(row, field, dim) for row in value])
+
+
+def _parse_initial_state(cfg, spin, quorum):
     """Returns (p0, rho0); rho0 is None when the input was a bare P vector."""
     block = cfg.get("initial_state")
     if not isinstance(block, dict):
@@ -205,7 +211,7 @@ def _parse_initial_state(cfg, spin, ops, quorum):
                                   _number(spec.get("phi", 0.0), "coherent.phi"))
         except ValueError as exc:
             raise ConfigError(f"initial_state.coherent: {exc}") from exc
-        rho0 = pure_state_density(coherent_state(spin, direction, ops).amplitudes)
+        rho0 = pure_state_density(coherent_state(spin, direction).amplitudes)
     elif kind == "basis":
         if not isinstance(spec, dict) or "mu" not in spec:
             raise ConfigError("initial_state.basis must be an object with field 'mu'")
@@ -218,16 +224,10 @@ def _parse_initial_state(cfg, spin, ops, quorum):
     elif kind == "density_matrix":
         if not isinstance(spec, dict) or "real" not in spec:
             raise ConfigError("initial_state.density_matrix needs field 'real' (and optional 'imag')")
-        real = np.array([_number_list(row, "density_matrix.real", spin.dim)
-                         for row in spec["real"]])
-        if real.shape != (spin.dim, spin.dim):
-            raise ConfigError(f"density_matrix.real must be {spin.dim}x{spin.dim}")
+        real = _number_matrix(spec["real"], "density_matrix.real", spin.dim)
         imag = np.zeros_like(real)
         if "imag" in spec:
-            imag = np.array([_number_list(row, "density_matrix.imag", spin.dim)
-                             for row in spec["imag"]])
-            if imag.shape != (spin.dim, spin.dim):
-                raise ConfigError(f"density_matrix.imag must be {spin.dim}x{spin.dim}")
+            imag = _number_matrix(spec["imag"], "density_matrix.imag", spin.dim)
         rho0 = real + 1j * imag
     elif kind == "pvector":
         values = _number_list(spec, "initial_state.pvector", quorum.size)
@@ -403,9 +403,8 @@ def cmd_reconstruct(args):
     cfg = _load_config(args.config)
     fmt, table_path, _ = _parse_output(cfg, args)
     spin = _parse_spin(cfg)
-    ops = spin_operators(spin)
     quorum = build_quorum(_parse_quorum_config(cfg, spin))
-    p0, rho0 = _parse_initial_state(cfg, spin, ops, quorum)
+    p0, rho0 = _parse_initial_state(cfg, spin, quorum)
 
     meta = [("config_hash", _config_hash(cfg)),
             ("two_s", spin.two_s),
@@ -441,7 +440,7 @@ def cmd_evolve(args):
     spec = _parse_hamiltonian(cfg)
     times = _parse_times(cfg)
     method, substeps = _parse_method(cfg)
-    p0, rho0 = _parse_initial_state(cfg, spin, ops, quorum)
+    p0, rho0 = _parse_initial_state(cfg, spin, quorum)
 
     driven = spec.drive is not None
     if driven:

@@ -29,9 +29,8 @@ from .errors import (
     DimensionMismatchError,
     InvariantViolationError,
     MethodUnsupportedError,
-    NotHermitianError,
 )
-from .linalg import hermitian_eigendecomposition, hermiticity_deviation, settings
+from .linalg import hermitian_eigendecomposition, require_hermitian
 from .representation import PVector, rho_to_pvec
 from .spin import _freeze, evolve_density_matrix
 
@@ -125,6 +124,12 @@ class DrivenGenerator:
         return self.static.matrix + self.envelope(t) * self.drive.matrix
 
 
+# Bounds of build_generator's fixed self-checks (see its docstring).
+_REALNESS_TOL = 1e-10
+_CROSS_CHECK_TOL = 1e-10
+_CONSERVATION_TOL = 1e-9
+
+
 def build_generator(hmat, quorum):
     """Build and verify the flow generator for Hamiltonian ``hmat``.
 
@@ -133,6 +138,11 @@ def build_generator(hmat, quorum):
     contractions and compared; realness and e^T M = 0 are enforced, and the
     closed-form eigenbasis of M (see ``Generator``) is certified, before the
     object is returned.
+
+    Fixed bounds: the imaginary residue of the trace form at most 1e-10,
+    its disagreement with the sandwich form at most 1e-10, and max |e^T M|
+    at most 1e-9 times max(1, max |M|) before e^T M is projected out and
+    1e-9 after.
 
     Certificate tolerance.  In exact arithmetic M V = V Lambda; the
     residual is the rounding made in forming M.  Each trace in M is a sum
@@ -178,10 +188,10 @@ def build_generator(hmat, quorum):
     t2 = flat_t(projectors) @ flat(hd).T    # Tr[Q_n H dual_m]
     m_trace = 1j * (t1 - t2) / d
     imag_residue = float(np.max(np.abs(m_trace.imag)))
-    if imag_residue > settings.realness_tol:
+    if imag_residue > _REALNESS_TOL:
         raise InvariantViolationError(
             f"generator imaginary residue {imag_residue:.3e} exceeds "
-            f"{settings.realness_tol:.1e}")
+            f"{_REALNESS_TOL:.1e}")
 
     # The sandwich form reads the amplitudes, not the projectors, and takes
     # the commutator before contracting: <n|C|n> = sum_ij conj(psi_i) C_ij psi_j.
@@ -190,7 +200,7 @@ def build_generator(hmat, quorum):
     commutators = np.matmul(duals, hmat) - hd
     m_sandwich = 1j * (sandwiches @ flat(commutators).T) / d
     cross = float(np.max(np.abs(m_trace - m_sandwich)))
-    if cross > settings.cross_check_tol:
+    if cross > _CROSS_CHECK_TOL:
         raise InvariantViolationError(
             f"trace and sandwich forms disagree by {cross:.3e}")
 
@@ -198,7 +208,7 @@ def build_generator(hmat, quorum):
     raw_traces = quorum.dual_traces * d
     scale = max(1.0, float(np.max(np.abs(matrix))))
     raw_conservation = float(np.max(np.abs(raw_traces @ matrix)))
-    if raw_conservation > settings.conservation_tol * scale:
+    if raw_conservation > _CONSERVATION_TOL * scale:
         raise InvariantViolationError(
             f"conservation functional violated: max |e^T M| = {raw_conservation:.3e} "
             f"for generator scale {scale:.3e}")
@@ -207,7 +217,7 @@ def build_generator(hmat, quorum):
     # cannot drift along long trajectories.
     matrix -= np.outer(raw_traces, raw_traces @ matrix) / float(raw_traces @ raw_traces)
     conservation = float(np.max(np.abs(raw_traces @ matrix)))
-    if conservation > settings.conservation_tol:
+    if conservation > _CONSERVATION_TOL:
         raise InvariantViolationError(
             f"conservation functional violated after projection: {conservation:.3e}")
 
@@ -436,7 +446,8 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
         Otherwise, and for any non-finite rk4 row, it raises
         ``InvariantViolationError``.
     oracle : (d, d) array_like, optional
-        Initial density matrix; when given (autonomous generators only) the
+        Initial density matrix, Hermitian within 1e-12
+        (``require_hermitian``); when given (autonomous generators only) the
         trajectory carries the per-time deviation from direct density-matrix
         propagation, which uses neither M nor the duals.
     """
@@ -493,9 +504,7 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
     oracle_dev = None
     if oracle is not None:
         oracle = np.asarray(oracle, dtype=complex)
-        dev = hermiticity_deviation(oracle)
-        if dev > settings.hermiticity_tol:
-            raise NotHermitianError(f"oracle density matrix asymmetric by {dev:.3e}")
+        require_hermitian(oracle, "oracle density matrix")
         rho_t = evolve_density_matrix(oracle, gen.hamiltonian, times - times[0])
         # P_n(t) = Tr[Q_n rho(t)] for all n and t in one product.
         q = gen.quorum
@@ -521,7 +530,8 @@ def fixed_points(hmat, quorum):
     Returns 2s+1 probability vectors with M P = 0.  When the spectrum of H
     is degenerate the stationary set is a whole continuum; the returned
     vectors are then just one basis of stationary projectors and a
-    DegenerateSpectrumWarning is issued.
+    DegenerateSpectrumWarning is issued.  Degenerate means a gap between
+    adjacent eigenvalues below 1e-9 times max(1, max |eps|).
     """
     eps, vecs = hermitian_eigendecomposition(np.asarray(hmat, dtype=complex))
     if quorum.dim != eps.size:
@@ -530,7 +540,7 @@ def fixed_points(hmat, quorum):
     if eps.size > 1:
         gap = float(np.min(np.diff(eps)))
         scale = max(1.0, float(np.max(np.abs(eps))))
-        if gap < settings.degeneracy_tol * scale:
+        if gap < 1e-9 * scale:
             warnings.warn(
                 f"Hamiltonian spectrum degenerate (smallest gap {gap:.3e}); the "
                 "stationary set is a continuum, returning one basis of it",

@@ -49,7 +49,7 @@ class MethodUnsupportedError(ValueError):
 
 
 class IllConditionedQuorumWarning(UserWarning):
-    """Gram condition number exceeds the configured warning threshold."""
+    """Gram condition number exceeds 1e8, the bound ``build_quorum`` warns above."""
 
 
 class DegenerateSpectrumWarning(UserWarning):

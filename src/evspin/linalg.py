@@ -1,45 +1,23 @@
 """Dense linear-algebra kernels used throughout the package.
 
 Thin, contract-enforcing wrappers around numpy alone: the Hermiticity
-deviation of a matrix or a stack, and Hermitian eigendecomposition.  All
-tolerances live in the single mutable ``settings`` instance so they can be
-adjusted in one place.
+deviation of a matrix or a stack, the one Hermiticity check every module
+calls, and Hermitian eigendecomposition.  Each check in the package owns its
+bound, stated beside it; this module's is the Hermiticity bound 1e-12.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceFailureError, DimensionMismatchError, NotHermitianError
 
 __all__ = [
-    "Settings",
-    "settings",
     "hermiticity_deviation",
+    "require_hermitian",
     "hermitian_eigendecomposition",
 ]
 
 
-@dataclass
-class Settings:
-    """Numerical tolerances shared by every module.
-
-    Defaults are roughly 100x machine epsilon times the typical scale of the
-    quantity they guard.  Mutate the global ``settings`` instance rather than
-    passing tolerances around.
-    """
-
-    hermiticity_tol: float = 1e-12
-    realness_tol: float = 1e-10
-    cross_check_tol: float = 1e-10
-    duality_tol: float = 1e-9
-    conservation_tol: float = 1e-9
-    identity_expansion_tol: float = 1e-8
-    degeneracy_tol: float = 1e-9
-    condition_warn_threshold: float = 1e8
-
-
-settings = Settings()
+_HERMITICITY_TOL = 1e-12
 
 
 def hermiticity_deviation(a):
@@ -50,13 +28,25 @@ def hermiticity_deviation(a):
     return float(np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2))))
 
 
+def require_hermitian(a, what="matrix"):
+    """Raise NotHermitianError if max |A - A^dagger| over the entries of ``a`` exceeds 1e-12.
+
+    ``a`` is a matrix or a stack (..., d, d); ``what`` names it in the message.
+    """
+    dev = hermiticity_deviation(a)
+    if dev > _HERMITICITY_TOL:
+        raise NotHermitianError(
+            f"{what} is not Hermitian: max |A - A^dagger| = {dev:.3e} exceeds "
+            f"{_HERMITICITY_TOL:.1e}")
+
+
 def hermitian_eigendecomposition(a):
     """Eigen-decompose a Hermitian matrix, or every matrix of a stack.
 
     Parameters
     ----------
     a : (..., d, d) array_like
-        Hermitian within ``settings.hermiticity_tol`` (checked entrywise,
+        Hermitian within 1e-12 (``require_hermitian``, checked entrywise,
         which keeps error reports local to the offending entries).  A stack
         is decomposed in one call, matrix by matrix exactly as separate
         calls would; one failing member fails the whole stack.
@@ -81,11 +71,7 @@ def hermitian_eigendecomposition(a):
             f"matrix must be square or a stack of square matrices, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(np.abs(a))):
         raise ValueError("matrix contains non-finite entries")
-    dev = hermiticity_deviation(a)
-    if dev > settings.hermiticity_tol:
-        raise NotHermitianError(
-            f"max |A - A^dagger| = {dev:.3e} exceeds "
-            f"{settings.hermiticity_tol:.1e}")
+    require_hermitian(a)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

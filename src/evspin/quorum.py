@@ -25,7 +25,6 @@ from .errors import (
     InvariantViolationError,
     SingularQuorumError,
 )
-from .linalg import settings
 from .spin import Direction, Spin, _as_spin, _freeze, coherent_amplitudes
 
 __all__ = [
@@ -169,7 +168,14 @@ def _hermitian_from_coordinates(x, d):
     return a
 
 
-def build_quorum(config, ops=None):
+# Bounds of build_quorum's self-checks (see its docstring).
+_PROJECTOR_TOL = 1e-12
+_DUALITY_TOL = 1e-9
+_IDENTITY_TOL = 1e-8
+_CONDITION_WARN = 1e8
+
+
+def build_quorum(config):
     """Construct the full quorum for ``config``, verifying all invariants.
 
     Steps: lay out directions cone-major, build all coherent states in
@@ -181,12 +187,17 @@ def build_quorum(config, ops=None):
     quorum matrix T[n, a] = Tr[Q_n B_a] in the real orthonormal basis of
     ``_hermitian_coordinates`` is inverted, and
     dual_m = (2s+1) sum_a (T^{-1})[a, m] B_a is scattered back into
-    operators, Hermitian by construction.  Then Hermiticity of the duals,
+    operators.  The scatter writes each off-diagonal pair as a value and
+    its conjugate and the diagonal from real input, so the duals are
+    Hermitian and their traces real exactly; neither is checked.  Then
     duality (the matrix Tr[Q_n dual_m] / (2s+1) as the real product of T
     with the duals' coordinates, gathered again from the scattered
     operators) and the identity expansion
-    sum_n Tr[dual_n] Q_n = (2s+1) * identity are checked.  ``ops``, if
-    given, must belong to the config's spin; it is not otherwise used.
+    sum_n Tr[dual_n] Q_n = (2s+1) * identity are checked.
+
+    Bounds, each absolute and fixed: the projectors' norms within 1e-12 of
+    1, the duality residual at most 1e-9, the identity expansion residual
+    at most 1e-8, and a warning above a Gram condition number of 1e8.
 
     Error model: LU with partial pivoting is backward stable, so the
     computed inverse X satisfies (T + dT) X = I with |dT| ~ N eps |T|, and
@@ -206,7 +217,7 @@ def build_quorum(config, ops=None):
     Warns
     -----
     IllConditionedQuorumWarning
-        Condition number above ``settings.condition_warn_threshold``.
+        Gram condition number above 1e8.
     """
     spin = config.spin
     d = spin.dim
@@ -220,13 +231,13 @@ def build_quorum(config, ops=None):
                 phi += 2 * math.pi
             directions.append(Direction(theta, phi))
     amplitudes = coherent_amplitudes(spin, [dirn.theta for dirn in directions],
-                                     [dirn.phi for dirn in directions], ops)
+                                     [dirn.phi for dirn in directions])
 
     projectors = amplitudes[:, :, None] * amplitudes[:, None, :].conj()
     # Q = |psi><psi| has Q^2 - Q = (|psi|^2 - 1) Q and Tr Q = |psi|^2, so the
     # norms bound both idempotency and trace.
     norm_dev = float(np.max(np.abs(np.einsum("nii->n", projectors).real - 1.0)))
-    if norm_dev > settings.hermiticity_tol:
+    if norm_dev > _PROJECTOR_TOL:
         raise InvariantViolationError(
             f"projector self-check failed: idempotency and trace off by {norm_dev:.3e}")
 
@@ -243,10 +254,10 @@ def build_quorum(config, ops=None):
             "direction set is not informationally complete",
             min_eigenvalue=min_eig)
     condition = max_eig / min_eig
-    if condition > settings.condition_warn_threshold:
+    if condition > _CONDITION_WARN:
         warnings.warn(
             f"Gram condition number {condition:.3e} exceeds "
-            f"{settings.condition_warn_threshold:.1e}; reconstructions may lose accuracy",
+            f"{_CONDITION_WARN:.1e}; reconstructions may lose accuracy",
             IllConditionedQuorumWarning, stacklevel=2)
 
     quorum_matrix = _hermitian_coordinates(projectors)
@@ -257,33 +268,25 @@ def build_quorum(config, ops=None):
             f"quorum matrix is singular ({exc}); direction set is not "
             "informationally complete", min_eigenvalue=min_eig) from exc
     duals = _hermitian_from_coordinates(d * inverse.T, d)
-    herm_dev = float(np.max(np.abs(duals - duals.conj().transpose(0, 2, 1))))
-    dual_scale = max(1.0, float(np.max(np.abs(duals))))
-    if herm_dev > settings.realness_tol * dual_scale:
-        raise InvariantViolationError(f"dual basis asymmetric by {herm_dev:.3e}")
 
     # delta[n, m] = Tr[Q_n dual_m] / (2s+1) = <n|dual_m|n> / (2s+1), as one
     # real product of coordinates.  Those of the duals are gathered afresh
     # from the scattered operators, so the scatter is checked too.
     delta = quorum_matrix @ _hermitian_coordinates(duals).T / d
     duality_residual = float(np.max(np.abs(delta - np.eye(size))))
-    if duality_residual > settings.duality_tol:
+    if duality_residual > _DUALITY_TOL:
         raise InvariantViolationError(
-            f"duality residual {duality_residual:.3e} exceeds {settings.duality_tol:.1e} "
+            f"duality residual {duality_residual:.3e} exceeds {_DUALITY_TOL:.1e} "
             f"at 2s = {spin.two_s} (Gram condition number {condition:.2e}): the direction "
             "layout is too ill-conditioned at this spin")
 
-    raw_traces = np.einsum("nii->n", duals)
-    trace_imag = float(np.max(np.abs(raw_traces.imag)))
-    if trace_imag > settings.realness_tol:
-        raise InvariantViolationError(f"dual traces have imaginary part {trace_imag:.3e}")
-    raw_traces = raw_traces.real
+    raw_traces = np.einsum("nii->n", duals).real
     identity_image = (raw_traces @ projectors.reshape(size, d * d)).reshape(d, d)
     identity_residual = float(np.max(np.abs(identity_image - d * np.eye(d))))
-    if identity_residual > settings.identity_expansion_tol:
+    if identity_residual > _IDENTITY_TOL:
         raise InvariantViolationError(
             f"identity expansion residual {identity_residual:.3e} exceeds "
-            f"{settings.identity_expansion_tol:.1e}")
+            f"{_IDENTITY_TOL:.1e}")
 
     return Quorum(
         config=config,

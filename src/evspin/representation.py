@@ -18,7 +18,7 @@ from .errors import (
     LambdaOutOfRangeError,
     NotHermitianError,
 )
-from .linalg import hermiticity_deviation, settings
+from .linalg import require_hermitian
 from .spin import _freeze
 
 __all__ = [
@@ -91,7 +91,7 @@ def rho_to_pvec(rho, quorum):
     """Probabilities P_n = <n_n|rho|n_n> of a (Hermitian) matrix rho.
 
     Linear in rho, so unnormalized input is allowed; a non-Hermitian input
-    shows up as an imaginary residue and is rejected.
+    shows up as an imaginary residue and is rejected above 1e-12.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (quorum.dim, quorum.dim):
@@ -100,7 +100,7 @@ def rho_to_pvec(rho, quorum):
     psi = quorum.amplitudes
     raw = np.einsum("ni,ij,nj->n", psi.conj(), rho, psi)
     residue = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
-    if residue > settings.hermiticity_tol:
+    if residue > 1e-12:
         raise NotHermitianError(
             f"probabilities have imaginary residue {residue:.3e}; input is not Hermitian")
     return PVector(raw.real, quorum)
@@ -132,25 +132,24 @@ def expand_operator(a, quorum):
     Both reconstruction identities,
     A = (2s+1)^-1 sum_n primal[n] Q_n  and
     A = (2s+1)^-1 sum_n dual[n] dual_n,
-    are verified before returning.
+    are verified before returning.  Bounds: ``a`` Hermitian within 1e-12
+    (``require_hermitian``), imaginary residue of the coefficients at most
+    1e-10, reconstruction error at most 1e-9.
     """
     a = np.asarray(a, dtype=complex)
     if a.shape != (quorum.dim, quorum.dim):
         raise DimensionMismatchError(
             f"operator is {a.shape}, quorum expects {quorum.dim}x{quorum.dim}")
-    dev = hermiticity_deviation(a)
-    if dev > settings.hermiticity_tol:
-        raise NotHermitianError(f"operator asymmetric by {dev:.3e}")
+    require_hermitian(a, "operator")
 
     primal_c = np.einsum("ij,nji->n", a, quorum.duals)
     psi = quorum.amplitudes
     dual_c = np.einsum("ni,ij,nj->n", psi.conj(), a, psi)
     residue = max(float(np.max(np.abs(primal_c.imag))),
                   float(np.max(np.abs(dual_c.imag))))
-    if residue > settings.realness_tol:
+    if residue > 1e-10:
         raise InvariantViolationError(
-            f"coefficient imaginary residue {residue:.3e} exceeds "
-            f"{settings.realness_tol:.1e}")
+            f"coefficient imaginary residue {residue:.3e} exceeds 1.0e-10")
     primal = primal_c.real
     dual = dual_c.real
 
@@ -158,9 +157,9 @@ def expand_operator(a, quorum):
     recon_dual = np.einsum("n,nij->ij", dual, quorum.duals) / quorum.dim
     err = max(float(np.max(np.abs(recon_primal - a))),
               float(np.max(np.abs(recon_dual - a))))
-    if err > settings.duality_tol:
+    if err > 1e-9:
         raise InvariantViolationError(
-            f"operator reconstruction error {err:.3e} exceeds {settings.duality_tol:.1e}")
+            f"operator reconstruction error {err:.3e} exceeds 1.0e-09")
     return OperatorCoefficients(_freeze(primal), _freeze(dual), quorum)
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonSymmetricCouplingError, NotHermitianError
-from .linalg import hermitian_eigendecomposition, hermiticity_deviation, settings
+from .errors import DimensionMismatchError, NonSymmetricCouplingError
+from .linalg import hermitian_eigendecomposition, require_hermitian
 
 __all__ = [
     "Spin",
@@ -174,7 +174,7 @@ class CoherentState:
     amplitudes: np.ndarray
 
 
-def coherent_amplitudes(spin, thetas, phis, ops=None):
+def coherent_amplitudes(spin, thetas, phis):
     """Amplitudes of the coherent states along (thetas[k], phis[k]), shape (K, d).
 
     The rotation exp(-i theta m(phi).s) of the maximal sz eigenstate, with
@@ -187,12 +187,9 @@ def coherent_amplitudes(spin, thetas, phis, ops=None):
     azimuth's cosine and sine are taken per angle with ``math``; powers and
     phases then follow by repeated real multiplication, one rounded
     operation per step, so every row is bit for bit what a separate call per
-    direction gives.  ``ops``, if given, must belong to ``spin``; it is not
-    otherwise used.
+    direction gives.
     """
     spin = _as_spin(spin)
-    if ops is not None and ops.spin != spin:
-        raise DimensionMismatchError("operators belong to a different spin")
     two_s = spin.two_s
     halves = [0.5 * float(theta) for theta in thetas]
     # Columns j = 0..2s of [1, x, x, ...] multiplied out: x^j.
@@ -217,10 +214,10 @@ def coherent_amplitudes(spin, thetas, phis, ops=None):
     return amplitudes
 
 
-def coherent_state(spin, direction, ops=None):
+def coherent_state(spin, direction):
     """Coherent state along ``direction``: the one-row case of ``coherent_amplitudes``."""
     spin = _as_spin(spin)
-    amplitudes = coherent_amplitudes(spin, [direction.theta], [direction.phi], ops)[0]
+    amplitudes = coherent_amplitudes(spin, [direction.theta], [direction.phi])[0]
     return CoherentState(spin, direction, _freeze(amplitudes))
 
 
@@ -323,15 +320,15 @@ def build_hamiltonian(spec, ops):
     """Static part of the Hamiltonian matrix for ``spec`` (drive excluded).
 
     Raises NonSymmetricCouplingError if the quadratic coefficient matrix is
-    not symmetric; symmetry is what makes the symmetrized products a
-    faithful parameterization.
+    asymmetric by more than 1e-12 in any entry; symmetry is what makes the
+    symmetrized products a faithful parameterization.
     """
     b = np.asarray(spec.linear, dtype=float)
     h = b[0] * ops.sx + b[1] * ops.sy + b[2] * ops.sz
     if spec.quadratic is not None:
         c = np.asarray(spec.quadratic, dtype=float)
         dev = float(np.max(np.abs(c - c.T)))
-        if dev > settings.hermiticity_tol:
+        if dev > 1e-12:
             raise NonSymmetricCouplingError(
                 f"quadratic coefficients asymmetric by {dev:.3e}")
         svec = (ops.sx, ops.sy, ops.sz)
@@ -400,7 +397,9 @@ def random_hermitian(dim, rng):
 def validate_density_matrix(rho, dim=None, normalized=True):
     """Check Hermiticity, optional unit trace, and positive semidefiniteness.
 
-    Returns the input unchanged on success so calls can be inlined.
+    Bounds: Hermitian within ``require_hermitian``'s 1e-12, |Tr rho - 1| at
+    most 1e-12, smallest eigenvalue at least -1e-10.  Returns the input
+    unchanged on success so calls can be inlined.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -408,10 +407,8 @@ def validate_density_matrix(rho, dim=None, normalized=True):
     if dim is not None and rho.shape[0] != dim:
         raise DimensionMismatchError(
             f"density matrix is {rho.shape[0]}x{rho.shape[0]}, expected {dim}x{dim}")
-    dev = hermiticity_deviation(rho)
-    if dev > settings.hermiticity_tol:
-        raise NotHermitianError(f"density matrix asymmetric by {dev:.3e}")
-    if normalized and abs(np.trace(rho).real - 1.0) > settings.hermiticity_tol:
+    require_hermitian(rho, "density matrix")
+    if normalized and abs(np.trace(rho).real - 1.0) > 1e-12:
         raise ValueError(f"trace is {np.trace(rho).real!r}, expected 1")
     smallest = float(np.min(np.linalg.eigvalsh(rho)))
     if smallest < -1e-10:

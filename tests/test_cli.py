@@ -321,6 +321,20 @@ class TestConfigErrors:
         path, _ = write_config(tmp_path, method="euler")
         assert main(["evolve", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("matrix", [
+        {"real": 5},
+        {"real": [[0.5, 0.0], [0.0, 0.5]], "imag": 5},
+        {"real": [[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]]},
+    ], ids=["real-int", "imag-int", "real-three-rows"])
+    def test_density_matrix_not_a_matrix(self, tmp_path, capsys, matrix):
+        field = "density_matrix.imag" if "imag" in matrix else "density_matrix.real"
+        path, _ = write_config(tmp_path, initial_state={"density_matrix": matrix})
+        assert main(["evolve", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: field '{field}' must be a 2x2 list of "
+                                "lists of numbers\n")
+
     def test_wrong_pvector_length(self, tmp_path):
         path, _ = write_config(tmp_path, initial_state={"pvector": [1.0, 0.0]})
         assert main(["evolve", "--config", str(path)]) == 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,6 @@ from evspin import (
     default_config,
     quorum_from_document,
     quorum_to_document,
-    settings,
-    spin_operators,
 )
 import evspin.quorum as quorum_module
 from evspin.quorum import QuorumConfig
@@ -127,14 +126,17 @@ class TestBuildQuorum:
         # Bit for bit: the duals, and with them the conservation verdicts of
         # build_generator at 2s = 10, follow from these amplitudes.
         q = quorum_for(two_s)
-        ops = spin_operators(q.spin)
-        per_direction = np.array([coherent_state(q.spin, direction, ops).amplitudes
+        per_direction = np.array([coherent_state(q.spin, direction).amplitudes
                                   for direction in q.directions])
         assert np.array_equal(q.amplitudes, per_direction)
 
-    def test_duals_hermitian(self, quorum_for):
-        q = quorum_for(4)
+    @pytest.mark.filterwarnings("ignore::evspin.IllConditionedQuorumWarning")
+    @pytest.mark.parametrize("two_s", range(13))
+    def test_duals_hermitian(self, quorum_for, two_s):
+        # exact by construction of the scatter, so build_quorum checks neither
+        q = quorum_for(two_s)
         assert np.max(np.abs(q.duals - q.duals.conj().transpose(0, 2, 1))) == 0.0
+        assert np.all(np.einsum("nii->n", q.duals).imag == 0.0)
 
     @pytest.mark.parametrize("two_s", range(11))
     def test_positive_definite_default(self, quorum_for, two_s):
@@ -174,10 +176,16 @@ class TestBuildQuorum:
         with pytest.raises(InvariantViolationError, match="duality residual"):
             build_quorum(default_config(Spin(2)))
 
-    def test_ill_conditioned_warns(self, monkeypatch):
-        monkeypatch.setattr(settings, "condition_warn_threshold", 10.0)
+    def test_ill_conditioned_warns(self):
+        # two nearly coincident cones: kappa(G) = 9.3e8, above the fixed 1e8
+        cfg = QuorumConfig(Spin(2), (1.0, 1.0001, 2.0), (0.0, 0.5, 1.0))
         with pytest.warns(IllConditionedQuorumWarning):
-            build_quorum(default_config(Spin(2)))
+            q = build_quorum(cfg)
+        assert q.condition_number > 1e8
+        # the default layout at 2s = 10, kappa(G) = 2.7e7, stays below it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IllConditionedQuorumWarning)
+            assert build_quorum(default_config(Spin(10))).condition_number < 1e8
 
 
 class TestDocumentRoundTrip:

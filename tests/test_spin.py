@@ -140,7 +140,7 @@ class TestCoherentState:
             theta = math.acos(1 - 2 * rng.random())
             phi = 2 * math.pi * rng.random()
             d = Direction(theta, phi)
-            st = coherent_state(spin, d, ops)
+            st = coherent_state(spin, d)
             n = d.unit_vector
             n_dot_s = n[0] * ops.sx + n[1] * ops.sy + n[2] * ops.sz
             residual = n_dot_s @ st.amplitudes - spin.s * st.amplitudes
@@ -170,19 +170,14 @@ class TestCoherentState:
     @pytest.mark.parametrize("two_s", [0, 1, 4, 10])
     def test_stacked_amplitudes_match_single_states(self, two_s):
         spin = Spin(two_s)
-        ops = spin_operators(spin)
         rng = np.random.default_rng(60 + two_s)
         thetas = np.arccos(1 - 2 * rng.random(9))
         phis = 2 * math.pi * rng.random(9)
-        amplitudes = coherent_amplitudes(spin, thetas, phis, ops)
+        amplitudes = coherent_amplitudes(spin, thetas, phis)
         assert amplitudes.shape == (9, spin.dim)
         for k in range(9):
-            single = coherent_state(spin, Direction(thetas[k], phis[k]), ops).amplitudes
+            single = coherent_state(spin, Direction(thetas[k], phis[k])).amplitudes
             assert np.array_equal(amplitudes[k], single)
-
-    def test_stacked_amplitudes_reject_foreign_operators(self):
-        with pytest.raises(DimensionMismatchError):
-            coherent_amplitudes(Spin(2), [1.0], [0.0], spin_operators(Spin(1)))
 
 
 class TestCoherentOverlap:
