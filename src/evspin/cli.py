@@ -43,6 +43,7 @@ from .spin import (
     pure_state_density,
     random_pure_state,
     spin_operators,
+    validate_density_matrix,
 )
 
 EXIT_OK = 0
@@ -228,7 +229,10 @@ def _parse_initial_state(cfg, spin, quorum):
         imag = np.zeros_like(real)
         if "imag" in spec:
             imag = _number_matrix(spec["imag"], "density_matrix.imag", spin.dim)
-        rho0 = real + 1j * imag
+        try:
+            rho0 = validate_density_matrix(real + 1j * imag)
+        except ValueError as exc:
+            raise ConfigError(f"initial_state.density_matrix: {exc}") from exc
     elif kind == "pvector":
         values = _number_list(spec, "initial_state.pvector", quorum.size)
         return PVector(np.asarray(values), quorum), None

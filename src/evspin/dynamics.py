@@ -11,8 +11,8 @@ linear classical dynamical system on (2s+1)^2 real variables.  The weighted
 sum e . P is a conserved functional (e^T M = 0), and the images of the
 Hamiltonian eigenprojectors are the flow's fixed points.
 
-Both defining forms of M (the coherent-state sandwich and the trace form)
-are computed and compared at build time; the trace form is the one kept.
+M is computed at build time through the quorum matrix, the form kept, and
+compared with coherent-state sandwiches read from the amplitudes.
 M is never eigendecomposed numerically: its eigenbasis follows in closed
 form from that of H, is certified against M at build time, and carries all
 exact propagation.
@@ -31,7 +31,7 @@ from .errors import (
     MethodUnsupportedError,
 )
 from .linalg import hermitian_eigendecomposition, require_hermitian
-from .representation import PVector, rho_to_pvec
+from .representation import PVector
 from .spin import _freeze, evolve_density_matrix
 
 __all__ = [
@@ -71,7 +71,7 @@ class Generator:
 
     Carries the Hamiltonian it was built from, the certified eigenbasis of
     M, and the residuals of the build-time self-checks (imaginary part of
-    the trace formula, deviation between the two defining forms,
+    the sandwich form, its deviation from the kept quorum-matrix form,
     conservation functional, eigenbasis certificate).
 
     With H = sum_j eps_j |j><j| and the pair index jk = j * (2s+1) + k:
@@ -133,26 +133,27 @@ _CONSERVATION_TOL = 1e-9
 def build_generator(hmat, quorum):
     """Build and verify the flow generator for Hamiltonian ``hmat``.
 
-    The trace form i/(2s+1) Tr[H [Q_n, dual_n']] and the sandwich form
-    i/(2s+1) <n_n|[dual_n', H]|n_n> are evaluated through different
-    contractions and compared; realness and e^T M = 0 are enforced, and the
-    closed-form eigenbasis of M (see ``Generator``) is certified, before the
-    object is returned.
+    M[n, n'] = i/(2s+1) Tr[H [Q_n, dual_n']] = Tr[Q_n C_n'] / (2s+1), with
+    C_n' = i [dual_n', H] Hermitian.  The kept form is
+    ``quorum.probabilities`` of the C_n', real by construction; the
+    sandwich form <n_n|C_n'|n_n> / (2s+1) reads the amplitudes instead of
+    T.  The two are compared, e^T M = 0 is enforced, and the closed-form
+    eigenbasis of M (see ``Generator``) is certified before returning.
 
-    Fixed bounds: the imaginary residue of the trace form at most 1e-10,
-    its disagreement with the sandwich form at most 1e-10, and max |e^T M|
-    at most 1e-9 times max(1, max |M|) before e^T M is projected out and
-    1e-9 after.
+    Fixed bounds: the imaginary residue of the sandwich form at most 1e-10,
+    its disagreement with the kept form at most 1e-10, and max |e^T M| at
+    most 1e-9 times max(1, max |M|) before e^T M is projected out and 1e-9
+    after.
 
     Certificate tolerance.  In exact arithmetic M V = V Lambda; the
-    residual is the rounding made in forming M.  Each trace in M is a sum
-    of d^2 products of an entry of H Q_n (at most |H| = max |eps_j|) with
-    an entry of a dual (at most D, the largest dual entry), whose absolute
-    values add up to at most d |H| D (Cauchy-Schwarz on the Frobenius
-    norms).  With a summation error growing like the square root of the
-    d^2 terms, each trace is off by about d eps * d |H| D, and the
-    difference of two traces divided by d puts 2 d eps |H| D on every entry
-    of M.  An entry of M V adds N = d^2 of those against |V| <= 1, so
+    residual is the rounding made in forming M.  An entry of dual_m H sums
+    d products whose absolute values add up to at most sqrt(d) D |H|
+    (D the largest dual entry, |H| = max |eps_j|); with a summation error
+    growing like the square root of the d terms it is off by about
+    d eps D |H|, and an entry of C_m by 2 d eps |H| D.  Tr[Q_n C_m] weighs
+    these by |Q_n[k, i]|, which sum to (sum_i |psi_i|)^2 <= d, so every
+    entry of M is off by at most 2 d eps |H| D.  An entry of M V adds
+    N = d^2 of those against |V| <= 1, so
 
         max |M V - V Lambda| <= 2 N d eps |H| D,
 
@@ -169,42 +170,26 @@ def build_generator(hmat, quorum):
     h_eigenvalues, h_eigenvectors = hermitian_eigendecomposition(hmat)
 
     d = quorum.dim
-    projectors = quorum.projectors
+    size = quorum.size
     duals = quorum.duals
 
-    # Every pair contraction Tr[A_n B_m] = sum_ik A_n[i, k] B_m[k, i] is one
-    # complex matrix product of flattened (N, d^2) stacks, A_n against B_m^T.
-    size = quorum.size
+    commutators = 1j * (np.matmul(duals, hmat) - np.matmul(hmat, duals))
+    matrix = np.ascontiguousarray(quorum.probabilities(commutators).T / d)
 
-    def flat(stack):
-        return stack.reshape(size, d * d)
-
-    def flat_t(stack):
-        return np.swapaxes(stack, -1, -2).reshape(size, d * d)
-
-    hq = np.matmul(hmat, projectors)
-    hd = np.matmul(hmat, duals)
-    t1 = flat(hq) @ flat_t(duals).T         # Tr[H Q_n dual_m]
-    t2 = flat_t(projectors) @ flat(hd).T    # Tr[Q_n H dual_m]
-    m_trace = 1j * (t1 - t2) / d
-    imag_residue = float(np.max(np.abs(m_trace.imag)))
+    # The sandwich form, <n|C|n> = sum_ij conj(psi_i) C_ij psi_j, reads the amplitudes.
+    psi = quorum.amplitudes
+    sandwiches = (psi.conj()[:, :, None] * psi[:, None, :]).reshape(size, d * d)
+    m_sandwich = sandwiches @ commutators.reshape(size, d * d).T / d
+    imag_residue = float(np.max(np.abs(m_sandwich.imag)))
     if imag_residue > _REALNESS_TOL:
         raise InvariantViolationError(
             f"generator imaginary residue {imag_residue:.3e} exceeds "
             f"{_REALNESS_TOL:.1e}")
-
-    # The sandwich form reads the amplitudes, not the projectors, and takes
-    # the commutator before contracting: <n|C|n> = sum_ij conj(psi_i) C_ij psi_j.
-    psi = quorum.amplitudes
-    sandwiches = flat(psi.conj()[:, :, None] * psi[:, None, :])
-    commutators = np.matmul(duals, hmat) - hd
-    m_sandwich = 1j * (sandwiches @ flat(commutators).T) / d
-    cross = float(np.max(np.abs(m_trace - m_sandwich)))
+    cross = float(np.max(np.abs(matrix - m_sandwich.real)))
     if cross > _CROSS_CHECK_TOL:
         raise InvariantViolationError(
-            f"trace and sandwich forms disagree by {cross:.3e}")
+            f"quorum-matrix and sandwich forms disagree by {cross:.3e}")
 
-    matrix = np.ascontiguousarray(m_trace.real)
     raw_traces = quorum.dual_traces * d
     scale = max(1.0, float(np.max(np.abs(matrix))))
     raw_conservation = float(np.max(np.abs(raw_traces @ matrix)))
@@ -506,11 +491,8 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
         oracle = np.asarray(oracle, dtype=complex)
         require_hermitian(oracle, "oracle density matrix")
         rho_t = evolve_density_matrix(oracle, gen.hamiltonian, times - times[0])
-        # P_n(t) = Tr[Q_n rho(t)] for all n and t in one product.
-        q = gen.quorum
-        flat_projectors = q.projectors.conj().reshape(q.size, q.dim * q.dim)
-        reference = rho_t.reshape(times.size, q.dim * q.dim) @ flat_projectors.T
-        oracle_dev = _freeze(np.max(np.abs(values - reference.real), axis=1))
+        reference = gen.quorum.probabilities(rho_t)
+        oracle_dev = _freeze(np.max(np.abs(values - reference), axis=1))
 
     return Trajectory(
         times=_freeze(times.copy()),
@@ -545,8 +527,6 @@ def fixed_points(hmat, quorum):
                 f"Hamiltonian spectrum degenerate (smallest gap {gap:.3e}); the "
                 "stationary set is a continuum, returning one basis of it",
                 DegenerateSpectrumWarning, stacklevel=2)
-    points = []
-    for k in range(eps.size):
-        projector = np.outer(vecs[:, k], vecs[:, k].conj())
-        points.append(rho_to_pvec(projector, quorum))
-    return points
+    # projectors[k] = |k><k|
+    projectors = vecs.T[:, :, None] * vecs.T.conj()[:, None, :]
+    return [PVector(row, quorum) for row in quorum.probabilities(projectors)]

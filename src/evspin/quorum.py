@@ -5,9 +5,10 @@ azimuths per cone, so each cone is invariant under rotation by 2pi/(2s+1).
 The quorum holds exactly as many projectors as a Hermitian operator has
 real parameters, so in an orthonormal basis B_a of Hermitian operators the
 map rho -> P_n = Tr[Q_n rho] is a square real matrix T[n, a] = Tr[Q_n B_a].
-The duals through which states are reconstructed are (2s+1) T^{-1}, read
-back as operators.  The Gram matrix G = T T^T, G_{nn'} = |<n|n'>|^2, is
-kept for its spectrum: its smallest eigenvalue tests informational
+T is kept, and every Tr[Q_n X] is ``Quorum.probabilities``, one product
+with T.  The duals through which states are reconstructed are
+(2s+1) T^{-1}, read back as operators.  The Gram matrix G = T T^T is kept
+for its spectrum: its smallest eigenvalue tests informational
 completeness, and its condition number is kappa(T)^2.  Every structural
 identity the rest of the package relies on (rank-1 projectors, duality,
 identity expansion) is verified eagerly at build time and fails loudly.
@@ -99,17 +100,20 @@ def default_config(spin):
 
 @dataclass(frozen=True)
 class Quorum:
-    """Immutable bundle of directions, projectors, Gram metric, and duals.
+    """Immutable bundle of directions, projectors, quorum matrix, Gram matrix, and duals.
 
     Index convention: n = cone * (2s+1) + azimuth (cone-major).
-    ``dual_traces`` holds e_n = Tr[dual_n] / (2s+1), the coefficients of the
-    normalization functional e . P = Tr[rho].
+    ``matrix`` is the real N x N quorum matrix T[n, a] = Tr[Q_n B_a] in the
+    orthonormal Hermitian basis of ``_hermitian_coordinates``, and
+    ``gram`` = T T^T.  ``dual_traces`` holds e_n = Tr[dual_n] / (2s+1), the
+    coefficients of the normalization functional e . P = Tr[rho].
     """
 
     config: QuorumConfig
     directions: tuple
     amplitudes: np.ndarray
     projectors: np.ndarray
+    matrix: np.ndarray
     gram: np.ndarray
     duals: np.ndarray
     dual_traces: np.ndarray
@@ -129,6 +133,15 @@ class Quorum:
     @property
     def size(self):
         return self.config.spin.quorum_size
+
+    def probabilities(self, x):
+        """Tr[Q_n X] for Hermitian X, a matrix or a stack (..., d, d), as a real (..., N) array.
+
+        T times the coordinates of X.  Only the entries that are independent
+        for Hermitian X are read, so the result is real by construction;
+        checking Hermiticity is the caller's job.
+        """
+        return _hermitian_coordinates(np.asarray(x)) @ self.matrix.T
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -181,11 +194,12 @@ def build_quorum(config):
     Steps: lay out directions cone-major, build all coherent states in
     closed form (``coherent_amplitudes``) and their projectors, and check
     the projectors through the norms: for Q = |psi><psi|,
-    Q^2 - Q = (|psi|^2 - 1) Q and Tr Q = |psi|^2.  Form the Gram matrix
-    G_{nn'} = |<n|n'>|^2 and its eigenvalues (positive definiteness,
-    condition number).  The duals come from one real square solve: the
-    quorum matrix T[n, a] = Tr[Q_n B_a] in the real orthonormal basis of
-    ``_hermitian_coordinates`` is inverted, and
+    Q^2 - Q = (|psi|^2 - 1) Q and Tr Q = |psi|^2.  Gather the quorum
+    matrix T[n, a] = Tr[Q_n B_a] in the real orthonormal basis of
+    ``_hermitian_coordinates``, and form the Gram matrix
+    G = T T^T, G_{nn'} = Tr[Q_n Q_n'] = |<n|n'>|^2, and its eigenvalues
+    (positive definiteness, condition number).  The duals come from one
+    real square solve: T is inverted, and
     dual_m = (2s+1) sum_a (T^{-1})[a, m] B_a is scattered back into
     operators.  The scatter writes each off-diagonal pair as a value and
     its conjugate and the diagonal from real input, so the duals are
@@ -241,9 +255,9 @@ def build_quorum(config):
         raise InvariantViolationError(
             f"projector self-check failed: idempotency and trace off by {norm_dev:.3e}")
 
-    overlaps = amplitudes.conj() @ amplitudes.T
-    gram = np.abs(overlaps) ** 2
-    gram = (gram + gram.T) / 2.0
+    quorum_matrix = _hermitian_coordinates(projectors)
+    # numpy evaluates T @ T.T as one symmetric rank-k update: G is symmetric exactly.
+    gram = quorum_matrix @ quorum_matrix.T
 
     eigs = np.linalg.eigvalsh(gram)
     min_eig = float(eigs[0])
@@ -260,7 +274,6 @@ def build_quorum(config):
             f"{_CONDITION_WARN:.1e}; reconstructions may lose accuracy",
             IllConditionedQuorumWarning, stacklevel=2)
 
-    quorum_matrix = _hermitian_coordinates(projectors)
     try:
         inverse = np.linalg.inv(quorum_matrix)
     except np.linalg.LinAlgError as exc:
@@ -293,6 +306,7 @@ def build_quorum(config):
         directions=tuple(directions),
         amplitudes=_freeze(amplitudes),
         projectors=_freeze(projectors),
+        matrix=_freeze(quorum_matrix),
         gram=_freeze(gram),
         duals=_freeze(duals),
         dual_traces=_freeze(raw_traces / d),

@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatchError,
     InvariantViolationError,
     LambdaOutOfRangeError,
-    NotHermitianError,
 )
 from .linalg import require_hermitian
 from .spin import _freeze
@@ -88,22 +87,18 @@ def _same_quorum(a, b):
 
 
 def rho_to_pvec(rho, quorum):
-    """Probabilities P_n = <n_n|rho|n_n> of a (Hermitian) matrix rho.
+    """Probabilities P_n = <n_n|rho|n_n> = Tr[Q_n rho] of a Hermitian matrix rho.
 
-    Linear in rho, so unnormalized input is allowed; a non-Hermitian input
-    shows up as an imaginary residue and is rejected above 1e-12.
+    Linear in rho, so unnormalized input is allowed.  rho must be Hermitian
+    within 1e-12 (``require_hermitian``); P is then ``quorum.probabilities``,
+    real by construction.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (quorum.dim, quorum.dim):
         raise DimensionMismatchError(
             f"state is {rho.shape}, quorum expects {quorum.dim}x{quorum.dim}")
-    psi = quorum.amplitudes
-    raw = np.einsum("ni,ij,nj->n", psi.conj(), rho, psi)
-    residue = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
-    if residue > 1e-12:
-        raise NotHermitianError(
-            f"probabilities have imaginary residue {residue:.3e}; input is not Hermitian")
-    return PVector(raw.real, quorum)
+    require_hermitian(rho, "state")
+    return PVector(quorum.probabilities(rho), quorum)
 
 
 def pvec_to_rho(p):
@@ -132,9 +127,10 @@ def expand_operator(a, quorum):
     Both reconstruction identities,
     A = (2s+1)^-1 sum_n primal[n] Q_n  and
     A = (2s+1)^-1 sum_n dual[n] dual_n,
-    are verified before returning.  Bounds: ``a`` Hermitian within 1e-12
-    (``require_hermitian``), imaginary residue of the coefficients at most
-    1e-10, reconstruction error at most 1e-9.
+    are verified before returning.  The dual coefficients are
+    ``quorum.probabilities(a)``, real by construction.  Bounds: ``a``
+    Hermitian within 1e-12 (``require_hermitian``), imaginary residue of the
+    primal coefficients at most 1e-10, reconstruction error at most 1e-9.
     """
     a = np.asarray(a, dtype=complex)
     if a.shape != (quorum.dim, quorum.dim):
@@ -143,15 +139,12 @@ def expand_operator(a, quorum):
     require_hermitian(a, "operator")
 
     primal_c = np.einsum("ij,nji->n", a, quorum.duals)
-    psi = quorum.amplitudes
-    dual_c = np.einsum("ni,ij,nj->n", psi.conj(), a, psi)
-    residue = max(float(np.max(np.abs(primal_c.imag))),
-                  float(np.max(np.abs(dual_c.imag))))
+    residue = float(np.max(np.abs(primal_c.imag)))
     if residue > 1e-10:
         raise InvariantViolationError(
             f"coefficient imaginary residue {residue:.3e} exceeds 1.0e-10")
     primal = primal_c.real
-    dual = dual_c.real
+    dual = quorum.probabilities(a)
 
     recon_primal = np.einsum("n,nij->ij", primal, quorum.projectors) / quorum.dim
     recon_dual = np.einsum("n,nij->ij", dual, quorum.duals) / quorum.dim

@@ -100,11 +100,6 @@ class SpinOperators:
     sy: np.ndarray
     sz: np.ndarray
 
-    @property
-    def vector(self):
-        """Stacked (3, d, d) array in x, y, z order."""
-        return np.stack([self.sx, self.sy, self.sz])
-
 
 def _freeze(arr):
     arr.flags.writeable = False
@@ -408,8 +403,9 @@ def validate_density_matrix(rho, dim=None, normalized=True):
         raise DimensionMismatchError(
             f"density matrix is {rho.shape[0]}x{rho.shape[0]}, expected {dim}x{dim}")
     require_hermitian(rho, "density matrix")
-    if normalized and abs(np.trace(rho).real - 1.0) > 1e-12:
-        raise ValueError(f"trace is {np.trace(rho).real!r}, expected 1")
+    trace = float(np.trace(rho).real)
+    if normalized and abs(trace - 1.0) > 1e-12:
+        raise ValueError(f"trace is {trace!r}, expected 1")
     smallest = float(np.min(np.linalg.eigvalsh(rho)))
     if smallest < -1e-10:
         raise ValueError(f"negative eigenvalue {smallest:.3e}")

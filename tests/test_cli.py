@@ -335,6 +335,23 @@ class TestConfigErrors:
         assert captured.err == (f"config error: field '{field}' must be a 2x2 list of "
                                 "lists of numbers\n")
 
+    @pytest.mark.parametrize("command", ["evolve", "reconstruct"])
+    @pytest.mark.parametrize("matrix, reason", [
+        ({"real": [[2.0, 0.0], [0.0, 0.0]]}, "trace is 2.0, expected 1"),
+        ({"real": [[1.5, 0.0], [0.0, -0.5]]}, "negative eigenvalue -5.000e-01"),
+        ({"real": [[0.5, 0.0], [0.0, 0.5]], "imag": [[0.0, 0.1], [0.1, 0.0]]},
+         "density matrix is not Hermitian"),
+    ], ids=["trace-2", "negative-eigenvalue", "not-hermitian"])
+    def test_density_matrix_not_a_state(self, tmp_path, capsys, command, matrix, reason):
+        path, _ = write_config(tmp_path, initial_state={"density_matrix": matrix})
+        out = tmp_path / "table.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"config error: initial_state.density_matrix: {reason}")
+        assert not out.exists()
+
     def test_wrong_pvector_length(self, tmp_path):
         path, _ = write_config(tmp_path, initial_state={"pvector": [1.0, 0.0]})
         assert main(["evolve", "--config", str(path)]) == 2

@@ -157,16 +157,16 @@ class TestBuildGenerator:
             scale = max(1.0, float(np.max(np.abs(gen.matrix))))
             assert np.max(np.abs(gen.matrix - einsum_trace_form(h, q))) < 1e-13 * scale
 
-    def test_trace_and_sandwich_forms_are_separate_contractions(self, quorum_for):
+    def test_quorum_matrix_and_sandwich_forms_are_separate_contractions(self, quorum_for):
         q = quorum_for(2)
         h = random_hermitian(q.dim, np.random.default_rng(44))
         # Two different contractions round differently; one computed twice would not.
         assert 0.0 < build_generator(h, q).cross_check_deviation < 1e-10
-        # The trace form reads the projectors and the sandwich form the
-        # amplitudes, so projectors out of step with the amplitudes are caught.
+        # The kept form reads the quorum matrix and the sandwich form the
+        # amplitudes, so a quorum matrix out of step with the amplitudes is caught.
         order = [1, 0] + list(range(2, q.size))
-        swapped = dataclasses.replace(q, projectors=q.projectors[order])
-        with pytest.raises(InvariantViolationError, match="trace and sandwich"):
+        swapped = dataclasses.replace(q, matrix=q.matrix[order])
+        with pytest.raises(InvariantViolationError, match="quorum-matrix and sandwich"):
             build_generator(h, swapped)
 
     def test_non_hermitian_rejected(self, quorum_for):

@@ -14,6 +14,7 @@ from evspin import (
     default_config,
     quorum_from_document,
     quorum_to_document,
+    random_hermitian,
 )
 import evspin.quorum as quorum_module
 from evspin.quorum import QuorumConfig
@@ -186,6 +187,36 @@ class TestBuildQuorum:
         with warnings.catch_warnings():
             warnings.simplefilter("error", IllConditionedQuorumWarning)
             assert build_quorum(default_config(Spin(10))).condition_number < 1e8
+
+
+class TestProbabilities:
+    @pytest.mark.filterwarnings("ignore::evspin.IllConditionedQuorumWarning")
+    @pytest.mark.parametrize("two_s", range(13))
+    def test_matches_amplitude_sandwich(self, quorum_for, two_s):
+        # Both forms add d^2 terms whose absolute values sum to at most
+        # d max|X| (the weights |psi_i psi_k| sum to (sum_i |psi_i|)^2 <= d);
+        # with rounding growing like the square root of the d^2 terms, each
+        # is off by about d eps * d max|X|, and they differ by at most twice that.
+        q = quorum_for(two_s)
+        d = q.dim
+        rng = np.random.default_rng(two_s + 90)
+        psi = q.amplitudes
+        eps = np.finfo(float).eps
+        single = random_hermitian(d, rng)
+        stack = np.array([[random_hermitian(d, rng) for _ in range(3)] for _ in range(2)])
+        for x in (single, stack):
+            p = q.probabilities(x)
+            assert p.shape == x.shape[:-2] + (q.size,)
+            assert p.dtype == float
+            reference = np.einsum("ni,...ij,nj->...n", psi.conj(), x, psi)
+            bound = 2 * d * d * eps * float(np.max(np.abs(x)))
+            assert np.max(np.abs(p - reference)) <= bound
+
+    def test_gram_is_t_t_transpose(self, quorum_for):
+        q = quorum_for(4)
+        assert np.array_equal(q.gram, q.gram.T)
+        np.testing.assert_array_equal(q.gram, q.matrix @ q.matrix.T)
+        assert not q.matrix.flags.writeable
 
 
 class TestDocumentRoundTrip:
