@@ -33,10 +33,8 @@ from .spin import (
     basis_state,
     build_hamiltonian,
     coherent_amplitudes,
-    coherent_overlap,
     coherent_state,
     evolve_density_matrix,
-    hamiltonian_at,
     maximally_mixed,
     pure_state_density,
     random_density_matrix,

@@ -5,13 +5,13 @@ azimuths per cone, so each cone is invariant under rotation by 2pi/(2s+1).
 The quorum holds exactly as many projectors as a Hermitian operator has
 real parameters, so in an orthonormal basis B_a of Hermitian operators the
 map rho -> P_n = Tr[Q_n rho] is a square real matrix T[n, a] = Tr[Q_n B_a].
-T is kept, and every Tr[Q_n X] is ``Quorum.probabilities``, one product
-with T.  The duals through which states are reconstructed are
-(2s+1) T^{-1}, read back as operators.  The Gram matrix G = T T^T is kept
-for its spectrum: its smallest eigenvalue tests informational
-completeness, and its condition number is kappa(T)^2.  Every structural
-identity the rest of the package relies on (rank-1 projectors, duality,
-identity expansion) is verified eagerly at build time and fails loudly.
+T and T^{-1} are kept: every Tr[Q_n X] is ``Quorum.probabilities``, one
+product with T, and every reconstruction ``Quorum.operator``, one with
+T^{-1}; the duals are (2s+1) T^{-1} read back as operators.  The Gram
+matrix G = T T^T is kept for its spectrum: its smallest eigenvalue tests
+informational completeness, and its condition number is kappa(T)^2.  Every
+structural identity the rest of the package relies on (rank-1 projectors,
+duality, identity expansion) is verified eagerly at build time.
 """
 
 import json
@@ -104,9 +104,9 @@ class Quorum:
 
     Index convention: n = cone * (2s+1) + azimuth (cone-major).
     ``matrix`` is the real N x N quorum matrix T[n, a] = Tr[Q_n B_a] in the
-    orthonormal Hermitian basis of ``_hermitian_coordinates``, and
-    ``gram`` = T T^T.  ``dual_traces`` holds e_n = Tr[dual_n] / (2s+1), the
-    coefficients of the normalization functional e . P = Tr[rho].
+    orthonormal Hermitian basis of ``_hermitian_coordinates``, ``inverse``
+    is T^{-1} and ``gram`` = T T^T.  ``dual_traces`` holds e_n =
+    Tr[dual_n] / (2s+1), the coefficients of the functional e . P = Tr[rho].
     """
 
     config: QuorumConfig
@@ -114,6 +114,7 @@ class Quorum:
     amplitudes: np.ndarray
     projectors: np.ndarray
     matrix: np.ndarray
+    inverse: np.ndarray
     gram: np.ndarray
     duals: np.ndarray
     dual_traces: np.ndarray
@@ -142,6 +143,13 @@ class Quorum:
         checking Hermiticity is the caller's job.
         """
         return _hermitian_coordinates(np.asarray(x)) @ self.matrix.T
+
+    def operator(self, c):
+        """Inverse of ``probabilities``: (2s+1)^-1 sum_n c_n dual_n for real c (..., N).
+
+        T^{-1} c, scattered into (..., d, d) matrices that are Hermitian exactly.
+        """
+        return _hermitian_from_coordinates(np.asarray(c) @ self.inverse.T, self.dim)
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -207,7 +215,10 @@ def build_quorum(config):
     duality (the matrix Tr[Q_n dual_m] / (2s+1) as the real product of T
     with the duals' coordinates, gathered again from the scattered
     operators) and the identity expansion
-    sum_n Tr[dual_n] Q_n = (2s+1) * identity are checked.
+    sum_n Tr[dual_n] Q_n = (2s+1) * identity are checked.  The expansion is
+    compared in coordinates: T^T times the traces, which are (2s+1) times
+    the column sums of T^{-1}'s rows for the diagonal units E_ii, against
+    (2s+1) on those units.  It tests T^{-1} T where duality tests T T^{-1}.
 
     Bounds, each absolute and fixed: the projectors' norms within 1e-12 of
     1, the duality residual at most 1e-9, the identity expansion residual
@@ -293,9 +304,10 @@ def build_quorum(config):
             f"at 2s = {spin.two_s} (Gram condition number {condition:.2e}): the direction "
             "layout is too ill-conditioned at this spin")
 
-    raw_traces = np.einsum("nii->n", duals).real
-    identity_image = (raw_traces @ projectors.reshape(size, d * d)).reshape(d, d)
-    identity_residual = float(np.max(np.abs(identity_image - d * np.eye(d))))
+    raw_traces = (d * inverse[:d]).sum(axis=0)
+    identity_image = raw_traces @ quorum_matrix
+    identity_image[:d] -= d
+    identity_residual = float(np.max(np.abs(identity_image)))
     if identity_residual > _IDENTITY_TOL:
         raise InvariantViolationError(
             f"identity expansion residual {identity_residual:.3e} exceeds "
@@ -307,6 +319,7 @@ def build_quorum(config):
         amplitudes=_freeze(amplitudes),
         projectors=_freeze(projectors),
         matrix=_freeze(quorum_matrix),
+        inverse=_freeze(inverse),
         gram=_freeze(gram),
         duals=_freeze(duals),
         dual_traces=_freeze(raw_traces / d),
@@ -338,12 +351,16 @@ def quorum_to_document(quorum):
 def quorum_from_document(text):
     """Rebuild a quorum from a document produced by ``quorum_to_document``.
 
-    Only the configuration is consumed; directions and condition number, if
-    present, are cross-checked against the rebuilt object and a mismatch is
-    an error (the document describes a different quorum than it claims).
+    Only the configuration is consumed, and ``two_s`` must be a JSON integer;
+    directions and condition number, if present, are cross-checked against
+    the rebuilt object and a mismatch is an error (the document describes a
+    different quorum than it claims).
     """
     data = json.loads(text)
-    config = QuorumConfig(Spin(int(data["two_s"])),
+    two_s = data["two_s"]
+    if isinstance(two_s, bool) or not isinstance(two_s, int):
+        raise ValueError(f"two_s must be a JSON integer, got {two_s!r}")
+    config = QuorumConfig(Spin(two_s),
                           tuple(data["cone_angles"]),
                           tuple(data["azimuth_offsets"]))
     quorum = build_quorum(config)

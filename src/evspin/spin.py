@@ -28,12 +28,10 @@ __all__ = [
     "CoherentState",
     "coherent_amplitudes",
     "coherent_state",
-    "coherent_overlap",
     "Envelope",
     "Drive",
     "HamiltonianSpec",
     "build_hamiltonian",
-    "hamiltonian_at",
     "pure_state_density",
     "basis_state",
     "maximally_mixed",
@@ -216,18 +214,6 @@ def coherent_state(spin, direction):
     return CoherentState(spin, direction, _freeze(amplitudes))
 
 
-def coherent_overlap(a, b):
-    """Inner product <a|b> of two coherent states of the same spin.
-
-    Its squared magnitude equals ((1 + cos Theta)/2)^(2s) with Theta the
-    angle between the two directions; both states must share s.
-    """
-    if a.spin != b.spin:
-        raise DimensionMismatchError(
-            f"states have different spins: 2s = {a.spin.two_s} vs {b.spin.two_s}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 @dataclass(frozen=True)
 class Envelope:
     """Scalar drive profile f(t).
@@ -334,14 +320,6 @@ def build_hamiltonian(spec, ops):
     return h
 
 
-def hamiltonian_at(spec, ops, t):
-    """Full Hamiltonian H(t), including the drive term if present."""
-    h = build_hamiltonian(spec, ops)
-    if spec.drive is not None:
-        h = h + spec.drive.envelope(t) * build_hamiltonian(spec.drive.term, ops)
-    return h
-
-
 def pure_state_density(amplitudes):
     """Rank-1 density matrix |psi><psi| from a (normalized) state vector."""
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
@@ -389,8 +367,8 @@ def random_hermitian(dim, rng):
     return (z + z.conj().T) / 2.0
 
 
-def validate_density_matrix(rho, dim=None, normalized=True):
-    """Check Hermiticity, optional unit trace, and positive semidefiniteness.
+def validate_density_matrix(rho):
+    """Check Hermiticity, unit trace, and positive semidefiniteness.
 
     Bounds: Hermitian within ``require_hermitian``'s 1e-12, |Tr rho - 1| at
     most 1e-12, smallest eigenvalue at least -1e-10.  Returns the input
@@ -399,12 +377,9 @@ def validate_density_matrix(rho, dim=None, normalized=True):
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatchError(f"density matrix must be square, got {rho.shape}")
-    if dim is not None and rho.shape[0] != dim:
-        raise DimensionMismatchError(
-            f"density matrix is {rho.shape[0]}x{rho.shape[0]}, expected {dim}x{dim}")
     require_hermitian(rho, "density matrix")
     trace = float(np.trace(rho).real)
-    if normalized and abs(trace - 1.0) > 1e-12:
+    if abs(trace - 1.0) > 1e-12:
         raise ValueError(f"trace is {trace!r}, expected 1")
     smallest = float(np.min(np.linalg.eigvalsh(rho)))
     if smallest < -1e-10:

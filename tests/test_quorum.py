@@ -177,6 +177,29 @@ class TestBuildQuorum:
         with pytest.raises(InvariantViolationError, match="duality residual"):
             build_quorum(default_config(Spin(2)))
 
+    def test_perturbed_inverse_fails_identity_check(self, monkeypatch):
+        # X -> X + eps v w^T, with sum_{a<d} v_a = 1, moves the traces
+        # Tr[dual_n] by d eps w and the identity expansion's coordinates by
+        # d eps T^T w, but the duality residual T X - I only by eps (T v) w^T.
+        # v = X X^T e / |X^T e|^2, e the identity's coordinates, is the
+        # shortest such v under T: |T v| = 1 / |X^T e|.  With w T's leading
+        # left singular vector, |T^T w| = sigma_max, the expansion moves
+        # about 1400 times as far as duality at 2s = 10.
+        original = np.linalg.inv
+
+        def perturbed(t):
+            x = original(t)
+            d = math.isqrt(t.shape[0])
+            e = np.zeros(t.shape[0])
+            e[:d] = 1.0
+            traces = x.T @ e
+            w = np.linalg.svd(t)[0][:, 0]
+            return x + 7e-9 * np.outer(x @ traces / (traces @ traces), w)
+
+        monkeypatch.setattr(np.linalg, "inv", perturbed)
+        with pytest.raises(InvariantViolationError, match="identity expansion residual"):
+            build_quorum(default_config(Spin(10)))
+
     def test_ill_conditioned_warns(self):
         # two nearly coincident cones: kappa(G) = 9.3e8, above the fixed 1e8
         cfg = QuorumConfig(Spin(2), (1.0, 1.0001, 2.0), (0.0, 0.5, 1.0))
@@ -212,6 +235,25 @@ class TestProbabilities:
             bound = 2 * d * d * eps * float(np.max(np.abs(x)))
             assert np.max(np.abs(p - reference)) <= bound
 
+    @pytest.mark.filterwarnings("ignore::evspin.IllConditionedQuorumWarning")
+    @pytest.mark.parametrize("two_s", range(13))
+    def test_operator_inverts_probabilities(self, quorum_for, two_s):
+        # T's rows are unit vectors (Tr Q_n^2 = 1), so P = T x, with x the
+        # coordinates of X and |x| = |X|_F, is off by at most N eps |x| per
+        # entry and d N eps |x| in norm.  T^{-1} magnifies that by at most
+        # 1 / sigma_min <= kappa(T), as sigma_max >= |T|_F / d = 1; the
+        # computed inverse and the product with it add errors of the same
+        # order.  So each X returns within 3 kappa(T) d N eps |X|_F.
+        q = quorum_for(two_s)
+        rng = np.random.default_rng(two_s + 100)
+        x = np.array([random_hermitian(q.dim, rng) for _ in range(4)])
+        back = q.operator(q.probabilities(x))
+        assert back.shape == x.shape
+        kappa = math.sqrt(q.condition_number)
+        bound = (3 * kappa * q.dim * q.size * np.finfo(float).eps
+                 * np.linalg.norm(x, axis=(1, 2)))
+        assert np.all(np.max(np.abs(back - x), axis=(1, 2)) <= bound)
+
     def test_gram_is_t_t_transpose(self, quorum_for):
         q = quorum_for(4)
         assert np.array_equal(q.gram, q.gram.T)
@@ -233,6 +275,14 @@ class TestDocumentRoundTrip:
         data = json.loads(quorum_to_document(quorum_for(1)))
         data["condition_number"] = 123456.0
         with pytest.raises(ValueError):
+            quorum_from_document(json.dumps(data))
+
+    @pytest.mark.parametrize("two_s, value", [(2, 2.9), (2, "2"), (1, True)])
+    def test_non_integer_two_s_rejected(self, quorum_for, two_s, value):
+        import json
+        data = json.loads(quorum_to_document(quorum_for(two_s)))
+        data["two_s"] = value
+        with pytest.raises(ValueError, match="two_s must be a JSON integer"):
             quorum_from_document(json.dumps(data))
 
     def test_tampered_directions_rejected(self, quorum_for):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from evspin import (
     DimensionMismatchError,
     Direction,
+    InvariantViolationError,
     LambdaOutOfRangeError,
     NotHermitianError,
     PVector,
@@ -106,6 +108,15 @@ class TestPvecToRho:
         assert report.min_eigenvalue < -1e-6
         assert not report.physical
 
+    @pytest.mark.filterwarnings("ignore::evspin.IllConditionedQuorumWarning")
+    @pytest.mark.parametrize("two_s", range(13))
+    def test_hermitian_exactly(self, quorum_for, two_s):
+        # the scatter of Quorum.operator writes each entry and its conjugate
+        q = quorum_for(two_s)
+        rng = np.random.default_rng(two_s + 70)
+        rho, _ = pvec_to_rho(rho_to_pvec(random_density_matrix(q.dim, rng), q))
+        assert np.max(np.abs(rho - rho.conj().T)) == 0.0
+
     def test_wrong_length_rejected(self, quorum_for):
         with pytest.raises(DimensionMismatchError):
             PVector(np.ones(5), quorum_for(1))
@@ -142,6 +153,45 @@ class TestExpandOperator:
         recon_dual = np.einsum("n,nij->ij", coeffs.dual, q.duals) / q.dim
         assert np.max(np.abs(recon_primal - a)) < 1e-9
         assert np.max(np.abs(recon_dual - a)) < 1e-9
+
+    @pytest.mark.filterwarnings("ignore::evspin.IllConditionedQuorumWarning")
+    @pytest.mark.parametrize("two_s", range(13))
+    def test_primal_matches_dual_contraction(self, quorum_for, two_s):
+        # Reference: Tr[A dual_n] summed over the N = d^2 entries, whose
+        # absolute values add to at most N max|A| D_n (D_n = max|dual_n|).
+        # expand_operator sums d T^{-1}[a, n] x_a over the N coordinates x of
+        # A; |x_a| <= sqrt(2) max|A| and d |T^{-1}[a, n]| <= sqrt(2) D_n, so
+        # those add to at most 2 N max|A| D_n.  With rounding growing like the
+        # square root of the N terms, each sum is off by about d eps times
+        # its magnitude, and the two differ by at most 3 d N eps max|A| D_n.
+        # A is a density matrix: at 2s = 12 a random Hermitian A with entries
+        # of order 1 already fails the reconstruction check.
+        q = quorum_for(two_s)
+        rng = np.random.default_rng(two_s + 80)
+        a = random_density_matrix(q.dim, rng)
+        reference = np.einsum("ij,nji->n", a, q.duals)
+        bound = (3 * q.dim * q.size * np.finfo(float).eps * np.max(np.abs(a))
+                 * np.max(np.abs(q.duals), axis=(1, 2)))
+        primal = expand_operator(a, q).primal
+        assert np.all(np.abs(primal - reference) <= bound)
+
+    @pytest.mark.parametrize("two_s", [8, 10])
+    def test_scaled_operator_accepted(self, quorum_for, two_s):
+        # the reconstruction error is linear in A, and so is the bound
+        q = quorum_for(two_s)
+        big = 1000 * spin_operators(Spin(two_s)).sz
+        north = np.zeros((q.dim, q.dim), dtype=complex)
+        north[0, 0] = 1.0
+        value = expectation(expand_operator(big, q), rho_to_pvec(north, q))
+        assert abs(value - 1000 * two_s / 2) < 1e-9 * 1000 * two_s / 2
+
+    def test_perturbed_inverse_fails_reconstruction_check(self, quorum_for):
+        q = quorum_for(2)
+        perturbed = q.inverse.copy()
+        perturbed[0, 0] += 1e-6
+        with pytest.raises(InvariantViolationError, match="operator reconstruction error"):
+            expand_operator(random_hermitian(q.dim, np.random.default_rng(15)),
+                            dataclasses.replace(q, inverse=perturbed))
 
     def test_non_hermitian_rejected(self, quorum_for):
         with pytest.raises(NotHermitianError):
