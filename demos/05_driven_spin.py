@@ -3,7 +3,8 @@
 With H(t) = omega*sz + eps*cos(nu t)*sx the generator becomes
 M(t) = M_static + cos(nu t) * M_drive -- still exactly linear in the
 probabilities.  Exact exponentials no longer apply, so the trajectory is
-integrated with fixed-step rk4, rebuilding M(t) at every stage time.  The
+integrated with fixed-step rk4, weighting the products of M_static and
+M_drive with the stage vector by 1 and f(t) at every stage time.  The
 conservation law e.P = const holds for every instantaneous Hamiltonian, so
 it doubles as an integration-quality monitor.
 """
@@ -25,26 +26,24 @@ from evspin import (
     propagate_grid,
     pure_state_density,
     rho_to_pvec,
-    spin_operators,
 )
 
 spin = Spin(1)
 omega, eps, nu = 1.0, 0.3, 2.0
 quorum = build_quorum(default_config(spin))
-ops = spin_operators(spin)
 
 spec = HamiltonianSpec(
     linear=(0.0, 0.0, omega),
     drive=Drive(HamiltonianSpec(linear=(eps, 0.0, 0.0)),
                 Envelope(shape="cosine", amplitude=1.0, frequency=nu)))
-gen = build_driven_generator(spec, ops, quorum)
+gen = build_driven_generator(spec, quorum)
 
 print("=" * 70)
 print(f"H(t) = {omega}*sz + {eps}*cos({nu} t)*sx on s = 1/2")
 print("=" * 70)
 print("generator at selected times (M(t) = M_static + f(t) M_drive):")
 for t in (0.0, math.pi / (2 * nu), math.pi / nu):
-    norm = np.linalg.norm(gen.matrix_at(t), 2)
+    norm = np.linalg.norm(gen.static.matrix + gen.envelope(t) * gen.drive.matrix, 2)
     print(f"  t = {t:6.3f}   f(t) = {gen.envelope(t):+.3f}   |M(t)| = {norm:.3f}")
 
 state = coherent_state(spin, Direction(0.4, 0.0))
@@ -72,7 +71,7 @@ spec_pulse = HamiltonianSpec(
     drive=Drive(HamiltonianSpec(linear=(eps, 0.0, 0.0)),
                 Envelope(shape="piecewise", breakpoints=(5.0, 10.0),
                          values=(0.0, 1.0, 0.0))))
-gen_pulse = build_driven_generator(spec_pulse, ops, quorum)
+gen_pulse = build_driven_generator(spec_pulse, quorum)
 times = np.linspace(0.0, 15.0, 151)
 trajectory = propagate_grid(gen_pulse, p0, times, method="rk4", substeps=10)
 for t_probe in (2.5, 7.5, 12.5):

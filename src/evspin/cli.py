@@ -260,6 +260,8 @@ def _parse_times(cfg):
         raise ConfigError("field 'time_grid.steps' must be an integer >= 1")
     if not t_end > t_start:
         raise ConfigError("time_grid requires t_end > t_start")
+    if not math.isfinite(t_end - t_start):
+        raise ConfigError("time_grid span t_end - t_start must be finite")
     return np.linspace(t_start, t_end, steps + 1)
 
 
@@ -439,7 +441,6 @@ def cmd_evolve(args):
     cfg = _load_config(args.config)
     fmt, table_path, summary_path = _parse_output(cfg, args)
     spin = _parse_spin(cfg)
-    ops = spin_operators(spin)
     quorum = build_quorum(_parse_quorum_config(cfg, spin))
     spec = _parse_hamiltonian(cfg)
     times = _parse_times(cfg)
@@ -448,10 +449,10 @@ def cmd_evolve(args):
 
     driven = spec.drive is not None
     if driven:
-        gen = build_driven_generator(spec, ops, quorum)
+        gen = build_driven_generator(spec, quorum)
         static_gen = gen.static
     else:
-        gen = build_generator(build_hamiltonian(spec, ops), quorum)
+        gen = build_generator(build_hamiltonian(spec, spin_operators(spin)), quorum)
         static_gen = gen
 
     oracle = None

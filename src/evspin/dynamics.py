@@ -12,7 +12,7 @@ sum e . P is a conserved functional (e^T M = 0), and the images of the
 Hamiltonian eigenprojectors are the flow's fixed points.
 
 M is computed at build time through the quorum matrix, the form kept, and
-compared with coherent-state sandwiches read from the amplitudes.
+compared with coherent-state sandwiches read from the projectors.
 M is never eigendecomposed numerically: its eigenbasis follows in closed
 form from that of H, is certified against M at build time, and carries all
 exact propagation.
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .linalg import hermitian_eigendecomposition, require_hermitian
 from .representation import PVector
-from .spin import _freeze, evolve_density_matrix
+from .spin import _freeze, build_hamiltonian, evolve_density_matrix, spin_operators
 
 __all__ = [
     "Generator",
@@ -76,11 +76,10 @@ class Generator:
 
     With H = sum_j eps_j |j><j| and the pair index jk = j * (2s+1) + k:
 
+    * ``h_eigenvectors[:, j] = |j>``, the unitary U;
     * ``eigenvalues[jk] = -i (eps_j - eps_k)``, the Bohr frequencies;
-    * ``eigenvectors[n, jk] = <n|j><k|n>``, the P-image of |j><k|;
-    * ``left_eigenvectors[jk, n] = <j|dual_n|k> / (2s+1)``, the inverse of
-      ``eigenvectors`` (their product the other way round is the duality
-      matrix that ``build_quorum`` verifies).
+    * ``eigenvectors[n, jk] = <n|j><k|n>``, the P-image of |j><k|; its inverse
+      takes P to the entries <j|X|k> of U^dagger X U, X = ``quorum.operator(P)``.
 
     ``bohr_deviation`` is the certificate residual max |M V - V Lambda| of
     that basis against the stored M.
@@ -90,9 +89,9 @@ class Generator:
     quorum: object
     hamiltonian: np.ndarray
     h_eigenvalues: np.ndarray
+    h_eigenvectors: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    left_eigenvectors: np.ndarray
     imag_residue: float
     cross_check_deviation: float
     conservation_residual: float
@@ -108,8 +107,7 @@ class DrivenGenerator:
     ``propagate_grid`` never assembles M(t): each rk4 stage applies the
     stacked [M_static; M_drive] to the stage vector once, and the weights
     1 and f(t) enter only through the coefficient rows that combine those
-    products (see ``_rk4``).  ``matrix_at`` forms the matrix at one time
-    for inspection.
+    products (see ``_rk4``).
     """
 
     static: Generator
@@ -120,11 +118,9 @@ class DrivenGenerator:
     def quorum(self):
         return self.static.quorum
 
-    def matrix_at(self, t):
-        return self.static.matrix + self.envelope(t) * self.drive.matrix
 
-
-# Bounds of build_generator's fixed self-checks (see its docstring).
+# Bounds of build_generator's self-checks (see its docstring).  Each check
+# reads "not residual <= bound", so that a NaN residual fails it.
 _REALNESS_TOL = 1e-10
 _CROSS_CHECK_TOL = 1e-10
 _CONSERVATION_TOL = 1e-9
@@ -136,14 +132,14 @@ def build_generator(hmat, quorum):
     M[n, n'] = i/(2s+1) Tr[H [Q_n, dual_n']] = Tr[Q_n C_n'] / (2s+1), with
     C_n' = i [dual_n', H] Hermitian.  The kept form is
     ``quorum.probabilities`` of the C_n', real by construction; the
-    sandwich form <n_n|C_n'|n_n> / (2s+1) reads the amplitudes instead of
+    sandwich form <n_n|C_n'|n_n> / (2s+1) reads the projectors instead of
     T.  The two are compared, e^T M = 0 is enforced, and the closed-form
     eigenbasis of M (see ``Generator``) is certified before returning.
 
-    Fixed bounds: the imaginary residue of the sandwich form at most 1e-10,
-    its disagreement with the kept form at most 1e-10, and max |e^T M| at
-    most 1e-9 times max(1, max |M|) before e^T M is projected out and 1e-9
-    after.
+    Bounds, with |H| = max |eps_j|: the sandwich form's imaginary residue
+    and its disagreement with the kept form at most 1e-10 max(1, |H|), and
+    max |e^T M| at most 1e-9 max(1, max |M|) before e^T M is projected out
+    and 1e-9 max(1, |H|) after; each residue is linear in H.
 
     Certificate tolerance.  In exact arithmetic M V = V Lambda; the
     residual is the rounding made in forming M.  An entry of dual_m H sums
@@ -168,6 +164,8 @@ def build_generator(hmat, quorum):
         raise DimensionMismatchError(
             f"Hamiltonian is {hmat.shape}, quorum expects {quorum.dim}x{quorum.dim}")
     h_eigenvalues, h_eigenvectors = hermitian_eigendecomposition(hmat)
+    h_norm = float(np.max(np.abs(h_eigenvalues)))
+    h_scale = max(1.0, h_norm)
 
     d = quorum.dim
     size = quorum.size
@@ -176,24 +174,24 @@ def build_generator(hmat, quorum):
     commutators = 1j * (np.matmul(duals, hmat) - np.matmul(hmat, duals))
     matrix = np.ascontiguousarray(quorum.probabilities(commutators).T / d)
 
-    # The sandwich form, <n|C|n> = sum_ij conj(psi_i) C_ij psi_j, reads the amplitudes.
-    psi = quorum.amplitudes
-    sandwiches = (psi.conj()[:, :, None] * psi[:, None, :]).reshape(size, d * d)
+    # The sandwich form, <n|C|n> = sum_ij conj(Q_n[i, j]) C_ij, reads the projectors.
+    sandwiches = quorum.projectors.conj().reshape(size, d * d)
     m_sandwich = sandwiches @ commutators.reshape(size, d * d).T / d
     imag_residue = float(np.max(np.abs(m_sandwich.imag)))
-    if imag_residue > _REALNESS_TOL:
+    if not imag_residue <= _REALNESS_TOL * h_scale:
         raise InvariantViolationError(
             f"generator imaginary residue {imag_residue:.3e} exceeds "
-            f"{_REALNESS_TOL:.1e}")
+            f"{_REALNESS_TOL * h_scale:.1e}")
     cross = float(np.max(np.abs(matrix - m_sandwich.real)))
-    if cross > _CROSS_CHECK_TOL:
+    if not cross <= _CROSS_CHECK_TOL * h_scale:
         raise InvariantViolationError(
-            f"quorum-matrix and sandwich forms disagree by {cross:.3e}")
+            f"quorum-matrix and sandwich forms disagree by {cross:.3e}, above "
+            f"{_CROSS_CHECK_TOL * h_scale:.1e}")
 
     raw_traces = quorum.dual_traces * d
     scale = max(1.0, float(np.max(np.abs(matrix))))
     raw_conservation = float(np.max(np.abs(raw_traces @ matrix)))
-    if raw_conservation > _CONSERVATION_TOL * scale:
+    if not raw_conservation <= _CONSERVATION_TOL * scale:
         raise InvariantViolationError(
             f"conservation functional violated: max |e^T M| = {raw_conservation:.3e} "
             f"for generator scale {scale:.3e}")
@@ -202,20 +200,18 @@ def build_generator(hmat, quorum):
     # cannot drift along long trajectories.
     matrix -= np.outer(raw_traces, raw_traces @ matrix) / float(raw_traces @ raw_traces)
     conservation = float(np.max(np.abs(raw_traces @ matrix)))
-    if conservation > _CONSERVATION_TOL:
+    if not conservation <= _CONSERVATION_TOL * h_scale:
         raise InvariantViolationError(
-            f"conservation functional violated after projection: {conservation:.3e}")
+            f"conservation functional violated after projection: {conservation:.3e} "
+            f"exceeds {_CONSERVATION_TOL * h_scale:.1e}")
 
-    overlaps = psi.conj() @ h_eigenvectors  # <n|j>
+    overlaps = quorum.amplitudes.conj() @ h_eigenvectors  # <n|j>
     eigenvectors = (overlaps[:, :, None] * overlaps.conj()[:, None, :]).reshape(size, size)
-    left = h_eigenvectors.conj().T @ duals @ h_eigenvectors / d
-    left_eigenvectors = np.ascontiguousarray(left.reshape(size, size).T)
     eigenvalues = np.zeros(size, dtype=complex)
     eigenvalues.imag = (h_eigenvalues[None, :] - h_eigenvalues[:, None]).reshape(-1)
     bohr_dev = float(np.max(np.abs(matrix @ eigenvectors - eigenvectors * eigenvalues)))
-    h_norm = float(np.max(np.abs(h_eigenvalues)))
     bohr_tol = 2 * size * d * np.finfo(float).eps * h_norm * float(np.max(np.abs(duals)))
-    if bohr_dev > bohr_tol:
+    if not bohr_dev <= bohr_tol:
         raise InvariantViolationError(
             f"generator eigenbasis certificate failed: max |M V - V Lambda| = "
             f"{bohr_dev:.3e} exceeds {bohr_tol:.3e}")
@@ -225,9 +221,9 @@ def build_generator(hmat, quorum):
         quorum=quorum,
         hamiltonian=_freeze(hmat.copy()),
         h_eigenvalues=_freeze(h_eigenvalues),
+        h_eigenvectors=_freeze(h_eigenvectors),
         eigenvalues=_freeze(eigenvalues),
         eigenvectors=_freeze(eigenvectors),
-        left_eigenvectors=_freeze(left_eigenvectors),
         imag_residue=imag_residue,
         cross_check_deviation=cross,
         conservation_residual=conservation,
@@ -235,10 +231,9 @@ def build_generator(hmat, quorum):
     )
 
 
-def build_driven_generator(spec, ops, quorum):
-    """Generator family for a HamiltonianSpec carrying a drive."""
-    from .spin import build_hamiltonian  # local import avoids cycle at module load
-
+def build_driven_generator(spec, quorum):
+    """Generator family for a HamiltonianSpec carrying a drive, on the spin of ``quorum``."""
+    ops = spin_operators(quorum.spin)
     if spec.drive is None:
         raise ValueError("spec has no drive; build_generator handles the static case")
     static = build_generator(build_hamiltonian(spec, ops), quorum)
@@ -254,12 +249,14 @@ def generator_eigenvalues(gen):
 def _flow(gen, p0, dts):
     """Rows exp(dt M) P0 for every dt in ``dts``, through M's eigenbasis.
 
-    exp(dt M) = V exp(dt Lambda) W and V W = 1, written as
-    P0 + Re(V (expm1(dt Lambda) * W P0)): the stationary modes
-    (Lambda = 0) contribute exactly nothing, so dt = 0 and H = 0 return P0
-    exactly.  Lambda is purely imaginary, so nothing grows with dt.
+    exp(dt M) = V exp(dt Lambda) V^{-1} with V^{-1} P0 = U^dagger X U (see
+    ``Generator``), written as P0 + Re(V (expm1(dt Lambda) * V^{-1} P0)):
+    the stationary modes (Lambda = 0) contribute exactly nothing, so dt = 0
+    and H = 0 return P0 exactly.  Lambda is purely imaginary, so nothing
+    grows with dt.
     """
-    coefficients = gen.left_eigenvectors @ p0
+    u = gen.h_eigenvectors
+    coefficients = (u.conj().T @ gen.quorum.operator(p0) @ u).reshape(-1)
     modes = np.expm1(np.multiply.outer(dts, gen.eigenvalues))
     modes *= coefficients
     return p0 + (modes @ gen.eigenvectors.T).real
@@ -289,10 +286,6 @@ class Trajectory:
     p_max: np.ndarray
     p_sum: np.ndarray
     oracle_dev: np.ndarray = None
-
-    @property
-    def states(self):
-        return [PVector(row, self.quorum) for row in self.values]
 
     @property
     def normalization_drift(self):
@@ -413,7 +406,7 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
     p0 : PVector
         State at ``times[0]``.
     times : array_like
-        Strictly increasing grid; the first entry is the initial time.
+        Strictly increasing finite grid; the first entry is the initial time.
     method : {"exact-expm", "rk4"}
         Exact propagation applies exp(t M) through the generator's certified
         eigenbasis, for the whole grid in one product.  rk4 advances with
@@ -439,6 +432,8 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1-D array")
+    if not (np.isfinite(times).all() and math.isfinite(float(times[-1]) - float(times[0]))):
+        raise ValueError("times must be finite, and so must their span")
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be strictly increasing")
     driven = isinstance(gen, DrivenGenerator)

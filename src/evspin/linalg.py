@@ -25,16 +25,19 @@ def hermiticity_deviation(a):
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2))))
+    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite entry reads NaN
+        return float(np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2))))
 
 
 def require_hermitian(a, what="matrix"):
-    """Raise NotHermitianError if max |A - A^dagger| over the entries of ``a`` exceeds 1e-12.
+    """Raise NotHermitianError unless max |A - A^dagger| over the entries of ``a`` is <= 1e-12.
 
     ``a`` is a matrix or a stack (..., d, d); ``what`` names it in the message.
     """
     dev = hermiticity_deviation(a)
-    if dev > _HERMITICITY_TOL:
+    if not np.isfinite(dev):
+        raise NotHermitianError(f"{what} has non-finite entries")
+    if not dev <= _HERMITICITY_TOL:
         raise NotHermitianError(
             f"{what} is not Hermitian: max |A - A^dagger| = {dev:.3e} exceeds "
             f"{_HERMITICITY_TOL:.1e}")
@@ -46,10 +49,10 @@ def hermitian_eigendecomposition(a):
     Parameters
     ----------
     a : (..., d, d) array_like
-        Hermitian within 1e-12 (``require_hermitian``, checked entrywise,
-        which keeps error reports local to the offending entries).  A stack
-        is decomposed in one call, matrix by matrix exactly as separate
-        calls would; one failing member fails the whole stack.
+        Finite and Hermitian within 1e-12 (``require_hermitian``, checked
+        entrywise, which keeps error reports local to the offending
+        entries).  A stack is decomposed in one call, matrix by matrix
+        exactly as separate calls would; one failing member fails it all.
 
     Returns
     -------
@@ -61,7 +64,7 @@ def hermitian_eigendecomposition(a):
     Raises
     ------
     NotHermitianError
-        If the input fails the Hermiticity check.
+        If the input fails the Hermiticity check or has a non-finite entry.
     ConvergenceFailureError
         If the underlying QR iteration stalls.
     """
@@ -69,8 +72,6 @@ def hermitian_eigendecomposition(a):
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(
             f"matrix must be square or a stack of square matrices, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(np.abs(a))):
-        raise ValueError("matrix contains non-finite entries")
     require_hermitian(a)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(a)

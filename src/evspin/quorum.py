@@ -262,7 +262,7 @@ def build_quorum(config):
     # Q = |psi><psi| has Q^2 - Q = (|psi|^2 - 1) Q and Tr Q = |psi|^2, so the
     # norms bound both idempotency and trace.
     norm_dev = float(np.max(np.abs(np.einsum("nii->n", projectors).real - 1.0)))
-    if norm_dev > _PROJECTOR_TOL:
+    if not norm_dev <= _PROJECTOR_TOL:
         raise InvariantViolationError(
             f"projector self-check failed: idempotency and trace off by {norm_dev:.3e}")
 
@@ -273,7 +273,7 @@ def build_quorum(config):
     eigs = np.linalg.eigvalsh(gram)
     min_eig = float(eigs[0])
     max_eig = float(eigs[-1])
-    if min_eig <= max_eig * size * np.finfo(float).eps:
+    if not min_eig > max_eig * size * np.finfo(float).eps:
         raise SingularQuorumError(
             f"Gram matrix not positive definite (min eigenvalue {min_eig:.3e}); "
             "direction set is not informationally complete",
@@ -298,7 +298,7 @@ def build_quorum(config):
     # from the scattered operators, so the scatter is checked too.
     delta = quorum_matrix @ _hermitian_coordinates(duals).T / d
     duality_residual = float(np.max(np.abs(delta - np.eye(size))))
-    if duality_residual > _DUALITY_TOL:
+    if not duality_residual <= _DUALITY_TOL:
         raise InvariantViolationError(
             f"duality residual {duality_residual:.3e} exceeds {_DUALITY_TOL:.1e} "
             f"at 2s = {spin.two_s} (Gram condition number {condition:.2e}): the direction "
@@ -308,7 +308,7 @@ def build_quorum(config):
     identity_image = raw_traces @ quorum_matrix
     identity_image[:d] -= d
     identity_residual = float(np.max(np.abs(identity_image)))
-    if identity_residual > _IDENTITY_TOL:
+    if not identity_residual <= _IDENTITY_TOL:
         raise InvariantViolationError(
             f"identity expansion residual {identity_residual:.3e} exceeds "
             f"{_IDENTITY_TOL:.1e}")

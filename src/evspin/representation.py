@@ -149,7 +149,7 @@ def expand_operator(a, quorum):
     err = max(float(np.max(np.abs(recon_primal - a))),
               float(np.max(np.abs(recon_dual - a))))
     bound = 1e-9 * max(1.0, float(np.max(np.abs(a))))
-    if err > bound:
+    if not err <= bound:
         raise InvariantViolationError(
             f"operator reconstruction error {err:.3e} exceeds {bound:.1e}")
     return OperatorCoefficients(_freeze(primal), _freeze(dual), quorum)

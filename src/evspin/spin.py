@@ -309,7 +309,7 @@ def build_hamiltonian(spec, ops):
     if spec.quadratic is not None:
         c = np.asarray(spec.quadratic, dtype=float)
         dev = float(np.max(np.abs(c - c.T)))
-        if dev > 1e-12:
+        if not dev <= 1e-12:
             raise NonSymmetricCouplingError(
                 f"quadratic coefficients asymmetric by {dev:.3e}")
         svec = (ops.sx, ops.sy, ops.sz)
@@ -379,10 +379,10 @@ def validate_density_matrix(rho):
         raise DimensionMismatchError(f"density matrix must be square, got {rho.shape}")
     require_hermitian(rho, "density matrix")
     trace = float(np.trace(rho).real)
-    if abs(trace - 1.0) > 1e-12:
+    if not abs(trace - 1.0) <= 1e-12:
         raise ValueError(f"trace is {trace!r}, expected 1")
     smallest = float(np.min(np.linalg.eigvalsh(rho)))
-    if smallest < -1e-10:
+    if not smallest >= -1e-10:
         raise ValueError(f"negative eigenvalue {smallest:.3e}")
     return rho
 

@@ -197,6 +197,27 @@ class TestEvolveCommand:
         _, _, rows = read_table(out)
         assert rows.shape[0] == 5 and np.all(np.isfinite(rows))
 
+    def test_field_scaled_with_time_unit_passes(self, tmp_path):
+        # H = 1e4 sz over t = 2 pi 1e-4 is H = sz over t = 2 pi in another
+        # unit of time; the generator's bounds scale with |H|, so both pass
+        for field, t_end in ((1.0, 2 * math.pi), (1e4, 2 * math.pi * 1e-4)):
+            path, _ = write_config(tmp_path, two_s=8, hamiltonian={"linear": [0.0, 0.0, field]},
+                                   time_grid={"t_start": 0.0, "t_end": t_end, "steps": 20})
+            out = tmp_path / "traj.csv"
+            assert main(["evolve", "--config", str(path), "--oracle", "--out", str(out)]) == 0
+            _, header, rows = read_table(out)
+            assert np.max(rows[:, header.index("oracle_dev")]) < 1e-7
+
+    def test_overflowing_field_is_numerical_failure(self, tmp_path, capsys):
+        # the generator's residues are NaN at |H| = 2e307, and NaN fails every check
+        path, _ = write_config(tmp_path, two_s=4, hamiltonian={"linear": [0.0, 0.0, 1e307]})
+        out = tmp_path / "traj.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not out.exists()
+        assert not (tmp_path / "traj.csv.summary.json").exists()
+
     def test_pvector_initial_state(self, tmp_path):
         path, _ = write_config(tmp_path,
                                initial_state={"pvector": [0.5, 0.5, 0.5, 0.5]})
@@ -316,6 +337,15 @@ class TestConfigErrors:
         assert main(["evolve", "--config", str(path)]) == 2
         path, _ = write_config(tmp_path, time_grid={"t_start": 0.0, "t_end": 1.0, "steps": 0})
         assert main(["evolve", "--config", str(path)]) == 2
+
+    def test_time_span_not_finite(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path,
+                               time_grid={"t_start": -1e308, "t_end": 1e308, "steps": 4})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: time_grid span t_end - t_start must be finite\n")
 
     def test_bad_method(self, tmp_path):
         path, _ = write_config(tmp_path, method="euler")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,8 +72,9 @@ def textbook_rk4(matrix_at, p0, times, substeps):
 
 
 def rk4_assembling_matrix_at(dgen, p0, times, substeps):
-    """rk4 that forms M(t) = matrix_at(t) at every stage time, h as in propagate_grid."""
-    return textbook_rk4(dgen.matrix_at, p0, times, substeps)
+    """rk4 that forms M(t) = M_static + f(t) M_drive at every stage time, h as in propagate_grid."""
+    return textbook_rk4(lambda t: dgen.static.matrix + dgen.envelope(t) * dgen.drive.matrix,
+                        p0, times, substeps)
 
 
 DRIVE_ENVELOPES = {
@@ -85,10 +87,9 @@ DRIVE_ENVELOPES = {
 
 def driven_setup(quorum_for, envelope):
     q = quorum_for(2)
-    ops = spin_operators(Spin(2))
     spec = HamiltonianSpec(linear=(0.1, 0.0, 1.0), quadratic=((0, 0, 0), (0, 0, 0), (0, 0, 0.3)),
                            drive=Drive(HamiltonianSpec(linear=(0.5, -0.2, 0.0)), envelope))
-    dgen = build_driven_generator(spec, ops, q)
+    dgen = build_driven_generator(spec, q)
     p0 = rho_to_pvec(random_density_matrix(q.dim, np.random.default_rng(57)), q)
     return dgen, p0
 
@@ -177,6 +178,68 @@ class TestBuildGenerator:
     def test_dimension_mismatch(self, quorum_for):
         with pytest.raises(DimensionMismatchError):
             build_generator(np.zeros((3, 3)), quorum_for(1))
+
+    def test_overflowing_hamiltonian_fails_checks(self, quorum_for):
+        # |H| = 2e307 at 2s = 4: the commutators overflow and every residue
+        # is NaN, which a check written as "residual > bound" would pass
+        h = 1e307 * np.asarray(spin_operators(Spin(4)).sz)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvariantViolationError, match="residue nan exceeds"):
+                build_generator(h, quorum_for(4))
+
+
+class TestModalCoefficients:
+    @pytest.mark.filterwarnings("ignore::evspin.IllConditionedQuorumWarning")
+    @pytest.mark.parametrize("two_s", range(13))
+    def test_reproduce_p0(self, quorum_for, two_s):
+        # The exact flow's coordinates of P0 in M's eigenbasis are
+        # c = U^dagger X U with X = operator(P0), T^{-1} P0 scattered, and
+        # V c = T (T^{-1} P0) = P0 in exact arithmetic.  The product T^{-1} P0
+        # sums N terms and is off by at most N eps |T^{-1}| max|P0|; T maps
+        # that error back with |T| = |T|_2, so V c misses P0 by at most
+        # N kappa(T) eps max|P0|.  The two rotations by U and the product
+        # with V (entries at most 1) add rounding of the size of c itself,
+        # d eps |X| and N eps |c|, which stays below that for max|P0| >= 1;
+        # max(1, .) covers smaller P0.  kappa(T) = sqrt(kappa(G)).
+        q = quorum_for(two_s)
+        rng = np.random.default_rng(two_s + 90)
+        gen = build_generator(random_hermitian(q.dim, rng), q)
+        physical = rho_to_pvec(random_density_matrix(q.dim, rng), q).values
+        unphysical = rng.uniform(-3.0, 3.0, q.size)
+        kappa = math.sqrt(q.condition_number)
+        u = gen.h_eigenvectors
+        for p0 in (physical, unphysical):
+            c = (u.conj().T @ q.operator(p0) @ u).reshape(-1)
+            bound = q.size * kappa * np.finfo(float).eps * max(1.0, np.max(np.abs(p0)))
+            assert np.max(np.abs(gen.eigenvectors @ c - p0)) <= bound
+
+
+class TestTimeUnit:
+    @pytest.mark.parametrize("lam", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("two_s", [2, 8, 10])
+    def test_scaled_hamiltonian_and_time_give_the_same_rows(self, quorum_for, two_s, lam):
+        # (H, t) and (lam H, t / lam) are the same physics.  Each run is the
+        # exact flow up to two errors.  eigh is backward stable: U and eps
+        # are exact for H + E with |E| <= d eps |H| (|H| = max|eps_j|, and
+        # E scales with H), and a perturbation E moves rho(t) by at most
+        # 2 t |E| in trace norm, so every P_n by 2 d eps |H| t.  The modal
+        # coefficients reproduce P0 within N kappa(T) eps max(1, max|P0|)
+        # (TestModalCoefficients), and V (entries at most 1) carries that
+        # error into each row at most twice, for c and for expm1(t Lambda) c.
+        # The two runs therefore differ by at most
+        # 2 N eps (2 kappa(T) max(1, max|P0|) + 2 d |H| t).
+        q = quorum_for(two_s)
+        rng = np.random.default_rng(two_s + 95)
+        h = random_hermitian(q.dim, rng)
+        p0 = rho_to_pvec(random_density_matrix(q.dim, rng), q)
+        times = np.linspace(0.0, 2.0, 6)
+        rows = propagate_grid(build_generator(h, q), p0, times).values
+        scaled = propagate_grid(build_generator(lam * h, q), p0, times / lam).values
+        h_norm = float(np.max(np.abs(np.linalg.eigvalsh(h))))
+        kappa = math.sqrt(q.condition_number)
+        bound = 4 * q.size * np.finfo(float).eps * (
+            kappa * max(1.0, np.max(np.abs(p0.values))) + q.dim * h_norm * times[-1])
+        assert np.max(np.abs(rows - scaled)) <= bound
 
 
 class TestPropagateExact:
@@ -269,12 +332,11 @@ class TestPropagateGrid:
 
     def test_driven_requires_rk4(self, quorum_for):
         q = quorum_for(1)
-        ops = spin_operators(Spin(1))
         spec = HamiltonianSpec(
             linear=(0, 0, 1.0),
             drive=Drive(HamiltonianSpec(linear=(0.2, 0, 0)),
                         Envelope(shape="cosine", amplitude=1.0, frequency=2.0)))
-        dgen = build_driven_generator(spec, ops, q)
+        dgen = build_driven_generator(spec, q)
         p0 = rho_to_pvec(maximally_mixed(2), q)
         with pytest.raises(MethodUnsupportedError):
             propagate_grid(dgen, p0, np.linspace(0, 1, 5), method="exact-expm")
@@ -285,13 +347,12 @@ class TestPropagateGrid:
     def test_driven_conserves_normalization(self, quorum_for):
         # drive ~ cos(nu t) sx on top of a sz precession, ten periods
         q = quorum_for(1)
-        ops = spin_operators(Spin(1))
         nu = 2.0
         spec = HamiltonianSpec(
             linear=(0, 0, 1.0),
             drive=Drive(HamiltonianSpec(linear=(0.3, 0, 0)),
                         Envelope(shape="cosine", amplitude=1.0, frequency=nu)))
-        dgen = build_driven_generator(spec, ops, q)
+        dgen = build_driven_generator(spec, q)
         state = coherent_state(Spin(1), Direction(1.0, 0.3))
         p0 = rho_to_pvec(pure_state_density(state.amplitudes), q)
         times = np.linspace(0.0, 10 * 2 * math.pi / nu, 200)
@@ -327,11 +388,7 @@ class TestPropagateGrid:
             calls.append(t)
             return original(self, t)
 
-        def forbidden(self, t):
-            raise AssertionError("propagate_grid assembled M(t)")
-
         monkeypatch.setattr(Envelope, "__call__", counted)
-        monkeypatch.setattr(DrivenGenerator, "matrix_at", forbidden)
         propagate_grid(dgen, p0, np.linspace(0.0, 1.0, 11), method="rk4", substeps=3)
         # one value per distinct stage time: the start of each of the 10
         # intervals, then the midpoint and the end of each of its 3 steps
@@ -357,6 +414,18 @@ class TestPropagateGrid:
             propagate_grid(gen, p0, [0.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             propagate_grid(gen, p0, [])
+
+    @pytest.mark.parametrize("method", ["exact-expm", "rk4"])
+    @pytest.mark.parametrize("times", [
+        [0.0, math.nan], [0.0, math.inf], [math.nan, 1.0], [-1e308, 1e308],
+    ], ids=["nan-end", "inf-end", "nan-start", "span-overflows"])
+    def test_non_finite_times_rejected(self, quorum_for, method, times):
+        q, gen, plus_x = larmor_setup(quorum_for)
+        p0 = rho_to_pvec(plus_x, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="times must be finite"):
+                propagate_grid(gen, p0, times, method=method)
 
     def test_flow_commutes_with_mixing(self, quorum_for):
         q = quorum_for(2)
@@ -450,10 +519,9 @@ class TestRk4StabilityGuard:
     def test_driven_bound_is_weyl(self, quorum_for, envelope, max_abs):
         # omega = spread(sz) + max|f| spread(sx) = 1 + 2.5 = 3.5 at 2s = 1
         q = quorum_for(1)
-        ops = spin_operators(Spin(1))
         spec = HamiltonianSpec(linear=(0, 0, 1.0),
                                drive=Drive(HamiltonianSpec(linear=(1.0, 0, 0)), envelope))
-        dgen = build_driven_generator(spec, ops, q)
+        dgen = build_driven_generator(spec, q)
         p0 = rho_to_pvec(maximally_mixed(2), q)
         assert envelope.max_abs == max_abs
         times = np.array([0.0, 1.0])
@@ -465,12 +533,11 @@ class TestRk4StabilityGuard:
         # an infinite drive leaves omega without a finite bound; the rows
         # then overflow and are caught after the steps
         q = quorum_for(1)
-        ops = spin_operators(Spin(1))
         spec = HamiltonianSpec(
             linear=(0, 0, 1.0),
             drive=Drive(HamiltonianSpec(linear=(1.0, 0, 0)),
                         Envelope(shape="constant", amplitude=math.inf)))
-        dgen = build_driven_generator(spec, ops, q)
+        dgen = build_driven_generator(spec, q)
         p0 = rho_to_pvec(maximally_mixed(2), q)
         with pytest.raises(InvariantViolationError, match="non-finite values at t = 1"):
             propagate_grid(dgen, p0, np.array([0.0, 1.0]), method="rk4", substeps=3)
@@ -559,6 +626,9 @@ class TestOracleComparison:
         skewed = plus_x + np.array([[0.0, 0.1], [0.0, 0.0]])
         with pytest.raises(NotHermitianError):
             propagate_grid(gen, rho_to_pvec(plus_x, q), np.linspace(0, 1, 5), oracle=skewed)
+        broken = np.array([[math.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(NotHermitianError, match="non-finite"):
+            propagate_grid(gen, rho_to_pvec(plus_x, q), np.linspace(0, 1, 5), oracle=broken)
 
     def test_oracle_monitor_column(self, quorum_for):
         q, gen, plus_x = larmor_setup(quorum_for)

@@ -16,6 +16,7 @@ from evspin import (
     rho_to_pvec,
     spin_operators,
 )
+from evspin.linalg import require_hermitian
 from evspin.quorum import QuorumConfig, _hermitian_coordinates, _hermitian_from_coordinates
 
 EPS = np.finfo(float).eps
@@ -105,6 +106,19 @@ class TestHermiticityDeviation:
         assert hermiticity_deviation(stack) == 0.0
         stack[4, 2, 1] += 0.5j
         assert hermiticity_deviation(stack) == 0.5
+
+
+class TestRequireHermitian:
+    @pytest.mark.parametrize("i, j, value", [
+        (1, 1, np.nan), (1, 1, np.inf), (1, 1, 1j * np.inf), (0, 1, np.inf),
+    ], ids=["nan", "inf", "imaginary-inf", "off-diagonal-inf"])
+    def test_non_finite_rejected(self, i, j, value):
+        # A - A^dagger is NaN or infinite wherever A is, and NaN <= 1e-12 is False
+        a = np.eye(2, dtype=complex)
+        a[i, j] = value
+        a[j, i] = np.conj(value)
+        with pytest.raises(NotHermitianError, match="state has non-finite entries"):
+            require_hermitian(a, "state")
 
 
 class TestDualSolve:

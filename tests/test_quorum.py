@@ -163,6 +163,19 @@ class TestBuildQuorum:
         with pytest.raises(InvariantViolationError, match="projector self-check failed"):
             build_quorum(default_config(Spin(2)))
 
+    def test_non_finite_states_fail_projector_check(self, monkeypatch):
+        # a NaN norm fails the check as "norm_dev > bound" never would
+        original = quorum_module.coherent_amplitudes
+
+        def broken(*args):
+            psi = original(*args)
+            psi[3, 0] = np.nan
+            return psi
+
+        monkeypatch.setattr(quorum_module, "coherent_amplitudes", broken)
+        with pytest.raises(InvariantViolationError, match="projector self-check failed"):
+            build_quorum(default_config(Spin(2)))
+
     def test_faulty_scatter_fails_duality_check(self, monkeypatch):
         # the duality check gathers the duals' coordinates from the scattered
         # operators, so a fault in the scatter cannot pass unseen

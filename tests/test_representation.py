@@ -197,6 +197,14 @@ class TestExpandOperator:
         with pytest.raises(NotHermitianError):
             expand_operator(np.array([[0.0, 1.0], [0.0, 0.0]]), quorum_for(1))
 
+    def test_overflowing_operator_fails_reconstruction_check(self, quorum_for):
+        # A = 1e308 sx is finite, but its primal coefficients overflow and the
+        # reconstruction error is NaN, which "err > bound" would pass
+        a = 1e308 * np.asarray(spin_operators(Spin(1)).sx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvariantViolationError, match="reconstruction error nan"):
+                expand_operator(a, quorum_for(1))
+
 
 class TestExpectation:
     def test_identity_normalization(self, quorum_for):

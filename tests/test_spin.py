@@ -232,6 +232,12 @@ class TestHamiltonian:
         with pytest.raises(NonSymmetricCouplingError):
             build_hamiltonian(HamiltonianSpec(quadratic=quad), ops)
 
+    def test_non_finite_quadratic_rejected(self):
+        ops = spin_operators(Spin(2))
+        quad = [[math.nan, 0, 0], [0, 0, 0], [0, 0, 0]]
+        with pytest.raises(NonSymmetricCouplingError):
+            build_hamiltonian(HamiltonianSpec(quadratic=quad), ops)
+
     def test_driven_at_time(self):
         ops = spin_operators(Spin(1))
         spec = HamiltonianSpec(
@@ -324,3 +330,5 @@ def test_validate_density_matrix():
         validate_density_matrix(np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         validate_density_matrix(np.diag([1.5, -0.5]))
+    with pytest.raises(NotHermitianError, match="non-finite"):
+        validate_density_matrix(np.array([[math.nan, 0.0], [0.0, 1.0]]))
