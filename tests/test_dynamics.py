@@ -72,7 +72,7 @@ def textbook_rk4(matrix_at, p0, times, substeps):
 
 
 def rk4_assembling_matrix_at(dgen, p0, times, substeps):
-    """rk4 that forms M(t) = M_static + f(t) M_drive at every stage time, h as in propagate_grid."""
+    """rk4 forming M(t) = M_static + f(t) M_drive at every stage time, h as in propagate_grid."""
     return textbook_rk4(lambda t: dgen.static.matrix + dgen.envelope(t) * dgen.drive.matrix,
                         p0, times, substeps)
 
