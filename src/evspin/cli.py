@@ -1,5 +1,13 @@
 """Command-line front end: quorum reports, trajectory runs, reconstruction, spectra.
 
+Every subcommand is one run of ``_run``: it loads the config, resolves the
+output paths, parses the spin, builds the quorum and forms the preamble
+``config_hash, two_s, n_points`` that opens every table.  The subcommand
+(``cmd_*``) then parses its own fields and returns its meta tail, its
+columns and, for ``evolve``, its summary body; ``_run`` writes the table,
+then the summary.  ``_quorum_report`` is the quorum's residuals in both the
+``quorum`` table and the ``evolve`` summary.
+
 The CLI does no arithmetic of its own; every emitted number comes from a
 library call and is formatted at full double precision, so identical
 configurations produce byte-identical output files.
@@ -354,78 +362,55 @@ def _write_table(path, fmt, meta, columns):
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def cmd_quorum(args):
-    cfg = _load_config(args.config)
-    fmt, table_path, _ = _parse_output(cfg, args)
-    spin = _parse_spin(cfg)
-    qconfig = _parse_quorum_config(cfg, spin)
-    quorum = build_quorum(qconfig)
+def _quorum_report(quorum):
+    """The quorum's conditioning and self-check residuals, as (key, value) pairs."""
+    return [("condition_number", quorum.condition_number),
+            ("min_gram_eigenvalue", quorum.min_gram_eigenvalue),
+            ("duality_residual", quorum.duality_residual),
+            ("identity_expansion_residual", quorum.identity_residual)]
 
-    meta = [
-        ("config_hash", _config_hash(cfg)),
-        ("two_s", spin.two_s),
-        ("n_points", quorum.size),
-        ("condition_number", quorum.condition_number),
-        ("min_gram_eigenvalue", quorum.min_gram_eigenvalue),
-        ("duality_residual", quorum.duality_residual),
-        ("identity_expansion_residual", quorum.identity_residual),
-        ("cone_angles", [float(t) for t in qconfig.cone_angles]),
-        ("azimuth_offsets", [float(p) for p in qconfig.azimuth_offsets]),
+
+def cmd_quorum(args, cfg, spin, quorum):
+    tail = _quorum_report(quorum) + [
+        ("cone_angles", [float(t) for t in quorum.config.cone_angles]),
+        ("azimuth_offsets", [float(p) for p in quorum.config.azimuth_offsets]),
     ]
     n = np.arange(quorum.size)
     columns = [("n", n), ("cone", n // spin.dim), ("azimuth", n % spin.dim),
                ("theta", np.array([d.theta for d in quorum.directions], dtype=float)),
                ("phi", np.array([d.phi for d in quorum.directions], dtype=float))]
-    _write_table(table_path, fmt, meta, columns)
-    return EXIT_OK
+    return tail, columns, None
 
 
-def cmd_spectrum(args):
-    cfg = _load_config(args.config)
-    fmt, table_path, _ = _parse_output(cfg, args)
-    spin = _parse_spin(cfg)
-    ops = spin_operators(spin)
-    quorum = build_quorum(_parse_quorum_config(cfg, spin))
+def cmd_spectrum(args, cfg, spin, quorum):
     spec = _parse_hamiltonian(cfg)
-    hmat = build_hamiltonian(spec, ops)
-    gen = build_generator(hmat, quorum)
+    gen = build_generator(build_hamiltonian(spec, spin_operators(spin)), quorum)
 
-    meta = [("config_hash", _config_hash(cfg)),
-            ("two_s", spin.two_s),
-            ("n_points", quorum.size)]
+    tail = []
     if spec.drive is not None:
-        meta.append(("note", "spectra refer to the static part; the drive term is excluded"))
+        tail.append(("note", "spectra refer to the static part; the drive term is excluded"))
     h_eigs = gen.h_eigenvalues
     m_eigs = generator_eigenvalues(gen)
     columns = [("matrix", np.array(["H"] * h_eigs.size + ["M"] * m_eigs.size)),
                ("index", np.concatenate([np.arange(h_eigs.size), np.arange(m_eigs.size)])),
                ("real", np.concatenate([h_eigs, m_eigs.real])),
                ("imag", np.concatenate([np.zeros(h_eigs.size), m_eigs.imag]))]
-    _write_table(table_path, fmt, meta, columns)
-    return EXIT_OK
+    return tail, columns, None
 
 
-def cmd_reconstruct(args):
-    cfg = _load_config(args.config)
-    fmt, table_path, _ = _parse_output(cfg, args)
-    spin = _parse_spin(cfg)
-    quorum = build_quorum(_parse_quorum_config(cfg, spin))
+def cmd_reconstruct(args, cfg, spin, quorum):
     p0, rho0 = _parse_initial_state(cfg, spin, quorum)
 
-    meta = [("config_hash", _config_hash(cfg)),
-            ("two_s", spin.two_s),
-            ("n_points", quorum.size)]
     if rho0 is not None:
-        meta.append(("direction", "state_to_probabilities"))
-        meta.append(("e_dot_p", p0.normalization))
+        tail = [("direction", "state_to_probabilities"), ("e_dot_p", p0.normalization)]
         columns = [("n", np.arange(quorum.size)), ("P", p0.values)]
     else:
         rho, report = pvec_to_rho(p0)
-        meta.append(("direction", "probabilities_to_state"))
-        meta.append(("trace", report.trace))
-        meta.append(("min_eigenvalue", report.min_eigenvalue))
-        meta.append(("e_dot_p", report.e_dot_p))
-        meta.append(("physical", "true" if report.physical else "false"))
+        tail = [("direction", "probabilities_to_state"),
+                ("trace", report.trace),
+                ("min_eigenvalue", report.min_eigenvalue),
+                ("e_dot_p", report.e_dot_p),
+                ("physical", "true" if report.physical else "false")]
         if not report.physical:
             print("warning: input probabilities do not correspond to a physical state "
                   f"(trace {report.trace:.6e}, min eigenvalue {report.min_eigenvalue:.6e})",
@@ -433,15 +418,10 @@ def cmd_reconstruct(args):
         d = spin.dim
         columns = [("row", np.repeat(np.arange(d), d)), ("col", np.tile(np.arange(d), d)),
                    ("real", rho.real.ravel()), ("imag", rho.imag.ravel())]
-    _write_table(table_path, fmt, meta, columns)
-    return EXIT_OK
+    return tail, columns, None
 
 
-def cmd_evolve(args):
-    cfg = _load_config(args.config)
-    fmt, table_path, summary_path = _parse_output(cfg, args)
-    spin = _parse_spin(cfg)
-    quorum = build_quorum(_parse_quorum_config(cfg, spin))
+def cmd_evolve(args, cfg, spin, quorum):
     spec = _parse_hamiltonian(cfg)
     times = _parse_times(cfg)
     method, substeps = _parse_method(cfg)
@@ -466,31 +446,17 @@ def cmd_evolve(args):
     trajectory = propagate_grid(gen, p0, times, method=method,
                                 substeps=substeps, oracle=oracle)
 
-    config_hash = _config_hash(cfg)
-    meta = [("config_hash", config_hash),
-            ("two_s", spin.two_s),
-            ("n_points", quorum.size)]
     columns = [("t", trajectory.times), ("P", trajectory.values),
                ("ePdot", trajectory.e_dot_p), ("minP", trajectory.p_min),
                ("maxP", trajectory.p_max), ("sumP", trajectory.p_sum)]
     if oracle is not None:
         columns.append(("oracle_dev", trajectory.oracle_dev))
-    _write_table(table_path, fmt, meta, columns)
 
     summary = {
-        "config_hash": config_hash,
-        "inputs": cfg,
-        "two_s": spin.two_s,
-        "n_points": quorum.size,
         "method": method,
         "substeps": substeps if method == "rk4" else None,
         "driven": driven,
-        "quorum": {
-            "condition_number": quorum.condition_number,
-            "min_gram_eigenvalue": quorum.min_gram_eigenvalue,
-            "duality_residual": quorum.duality_residual,
-            "identity_expansion_residual": quorum.identity_residual,
-        },
+        "quorum": dict(_quorum_report(quorum)),
         "generator": {
             "imag_residue": static_gen.imag_residue,
             "cross_check_deviation": static_gen.cross_check_deviation,
@@ -510,8 +476,28 @@ def cmd_evolve(args):
         "oracle_max_deviation": (float(np.max(trajectory.oracle_dev))
                                  if oracle is not None else None),
     }
-    _write_text(summary_path, json.dumps(summary, sort_keys=True) + "\n")
+    return [], columns, summary
+
+
+def _run(args):
+    """The pipeline of the module docstring; ``args.func`` is the ``cmd_*``.
+
+    The summary body, None except for ``evolve``, gets the preamble and the inputs.
+    """
+    cfg = _load_config(args.config)
+    fmt, table_path, summary_path = _parse_output(cfg, args)
+    spin = _parse_spin(cfg)
+    quorum = build_quorum(_parse_quorum_config(cfg, spin))
+    preamble = [("config_hash", _config_hash(cfg)),
+                ("two_s", spin.two_s),
+                ("n_points", quorum.size)]
+    tail, columns, summary = args.func(args, cfg, spin, quorum)
+    _write_table(table_path, fmt, preamble + tail, columns)
+    if summary is not None:
+        summary = {**dict(preamble), "inputs": cfg, **summary}
+        _write_text(summary_path, json.dumps(summary, sort_keys=True) + "\n")
     return EXIT_OK
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -540,14 +526,11 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _run(args)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ConfigError, ValueError, TypeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

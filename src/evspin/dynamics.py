@@ -171,12 +171,14 @@ def build_generator(hmat, quorum):
     size = quorum.size
     duals = quorum.duals
 
-    commutators = 1j * (np.matmul(duals, hmat) - np.matmul(hmat, duals))
-    matrix = np.ascontiguousarray(quorum.probabilities(commutators).T / d)
-
-    # The sandwich form, <n|C|n> = sum_ij conj(Q_n[i, j]) C_ij, reads the projectors.
-    sandwiches = quorum.projectors.conj().reshape(size, d * d)
-    m_sandwich = sandwiches @ commutators.reshape(size, d * d).T / d
+    # An H near the overflow threshold makes these products inf or NaN; the
+    # checks below reject them, so numpy's warnings would only repeat them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        commutators = 1j * (np.matmul(duals, hmat) - np.matmul(hmat, duals))
+        matrix = np.ascontiguousarray(quorum.probabilities(commutators).T / d)
+        # The sandwich form, <n|C|n> = sum_ij conj(Q_n[i, j]) C_ij, reads the projectors.
+        sandwiches = quorum.projectors.conj().reshape(size, d * d)
+        m_sandwich = sandwiches @ commutators.reshape(size, d * d).T / d
     imag_residue = float(np.max(np.abs(m_sandwich.imag)))
     if not imag_residue <= _REALNESS_TOL * h_scale:
         raise InvariantViolationError(
@@ -273,14 +275,14 @@ def propagate_exact(gen, p0, t):
 class Trajectory:
     """Time grid, probability vectors, and per-time invariant monitors.
 
-    ``oracle_dev`` is present only when the run was compared against direct
-    density-matrix propagation; it holds max_n |P_n(t) - <n_n|rho(t)|n_n>|
-    per time.
+    ``values`` holds one row of P per time, in the order of the generator's
+    quorum; the trajectory keeps no quorum of its own.  ``oracle_dev`` is
+    present only when the run was compared against direct density-matrix
+    propagation; it holds max_n |P_n(t) - <n_n|rho(t)|n_n>| per time.
     """
 
     times: np.ndarray
     values: np.ndarray
-    quorum: object
     e_dot_p: np.ndarray
     p_min: np.ndarray
     p_max: np.ndarray
@@ -492,7 +494,6 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
     return Trajectory(
         times=_freeze(times.copy()),
         values=_freeze(values),
-        quorum=gen.quorum,
         e_dot_p=_freeze(values @ e),
         p_min=_freeze(values.min(axis=1)),
         p_max=_freeze(values.max(axis=1)),

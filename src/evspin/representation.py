@@ -140,14 +140,15 @@ def expand_operator(a, quorum):
             f"operator is {a.shape}, quorum expects {quorum.dim}x{quorum.dim}")
     require_hermitian(a, "operator")
 
-    primal = quorum.dim * (_hermitian_coordinates(a) @ quorum.inverse)
-    dual = quorum.probabilities(a)
-
-    recon_primal = _hermitian_from_coordinates(primal @ quorum.matrix / quorum.dim,
-                                               quorum.dim)
-    recon_dual = quorum.operator(dual)
-    err = max(float(np.max(np.abs(recon_primal - a))),
-              float(np.max(np.abs(recon_dual - a))))
+    # An A near the overflow threshold makes these inf or NaN; the check rejects them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        primal = quorum.dim * (_hermitian_coordinates(a) @ quorum.inverse)
+        dual = quorum.probabilities(a)
+        recon_primal = _hermitian_from_coordinates(primal @ quorum.matrix / quorum.dim,
+                                                   quorum.dim)
+        recon_dual = quorum.operator(dual)
+        err = max(float(np.max(np.abs(recon_primal - a))),
+                  float(np.max(np.abs(recon_dual - a))))
     bound = 1e-9 * max(1.0, float(np.max(np.abs(a))))
     if not err <= bound:
         raise InvariantViolationError(

@@ -302,21 +302,26 @@ def build_hamiltonian(spec, ops):
 
     Raises NonSymmetricCouplingError if the quadratic coefficient matrix is
     asymmetric by more than 1e-12 in any entry; symmetry is what makes the
-    symmetrized products a faithful parameterization.
+    symmetrized products a faithful parameterization.  Raises ValueError if
+    an entry of H is not finite, as when the coefficients overflow it.
     """
-    b = np.asarray(spec.linear, dtype=float)
-    h = b[0] * ops.sx + b[1] * ops.sy + b[2] * ops.sz
-    if spec.quadratic is not None:
-        c = np.asarray(spec.quadratic, dtype=float)
-        dev = float(np.max(np.abs(c - c.T)))
-        if not dev <= 1e-12:
-            raise NonSymmetricCouplingError(
-                f"quadratic coefficients asymmetric by {dev:.3e}")
-        svec = (ops.sx, ops.sy, ops.sz)
-        for i in range(3):
-            for j in range(3):
-                if c[i, j] != 0.0:
-                    h = h + c[i, j] * (svec[i] @ svec[j] + svec[j] @ svec[i]) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.asarray(spec.linear, dtype=float)
+        h = b[0] * ops.sx + b[1] * ops.sy + b[2] * ops.sz
+        if spec.quadratic is not None:
+            c = np.asarray(spec.quadratic, dtype=float)
+            dev = float(np.max(np.abs(c - c.T)))
+            if not dev <= 1e-12:
+                raise NonSymmetricCouplingError(
+                    f"quadratic coefficients asymmetric by {dev:.3e}")
+            svec = (ops.sx, ops.sy, ops.sz)
+            for i in range(3):
+                for j in range(3):
+                    if c[i, j] != 0.0:
+                        h = h + c[i, j] * (svec[i] @ svec[j] + svec[j] @ svec[i]) / 2.0
+    if not np.all(np.isfinite(h)):
+        raise ValueError("Hamiltonian has non-finite entries (a coefficient is not finite "
+                         "or overflows)")
     return h
 
 

@@ -209,14 +209,29 @@ class TestEvolveCommand:
             assert np.max(rows[:, header.index("oracle_dev")]) < 1e-7
 
     def test_overflowing_field_is_numerical_failure(self, tmp_path, capsys):
-        # the generator's residues are NaN at |H| = 2e307, and NaN fails every check
+        # the generator's residues are NaN at |H| = 2e307, and NaN fails every
+        # check; the failure is one line, with no numpy warning before it
         path, _ = write_config(tmp_path, two_s=4, hamiltonian={"linear": [0.0, 0.0, 1e307]})
         out = tmp_path / "traj.csv"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith("numerical failure: ")
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert not out.exists()
         assert not (tmp_path / "traj.csv.summary.json").exists()
+
+    def test_overflowing_hamiltonian_is_config_error(self, tmp_path, capsys):
+        # 1e308 sz at 2s = 4 has the entry 2e308, which overflows H itself
+        path, _ = write_config(tmp_path, two_s=4, hamiltonian={"linear": [0.0, 0.0, 1e308]})
+        out = tmp_path / "traj.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: Hamiltonian has non-finite entries")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_pvector_initial_state(self, tmp_path):
         path, _ = write_config(tmp_path,
@@ -557,6 +572,11 @@ def parse_csv(text):
     return meta, header, rows
 
 
+PREAMBLE = ["config_hash", "two_s", "n_points"]
+QUORUM_REPORT = ("condition_number", "min_gram_eigenvalue", "duality_residual",
+                 "identity_expansion_residual")
+
+
 class TestCrossFormat:
     @pytest.mark.parametrize("branch", sorted(BRANCHES))
     def test_csv_and_json_lines_hold_one_table(self, tmp_path, branch):
@@ -573,6 +593,20 @@ class TestCrossFormat:
         json_meta = json.loads(lines[0])["meta"]
         assert meta == {key: json.dumps(value) if isinstance(value, list) else str(value)
                         for key, value in json_meta.items()}
+        # every table opens with the same preamble, in this order
+        assert list(meta)[:3] == PREAMBLE
+        if command == "evolve":
+            # the summary repeats the preamble, and its quorum block is the
+            # one the quorum table reports for the same config
+            summary = json.loads((tmp_path / "table.csv.summary.json").read_text())
+            assert [summary[key] for key in PREAMBLE] == [json_meta[key] for key in PREAMBLE]
+            quorum_out = tmp_path / "quorum.jsonl"
+            assert main(["quorum", "--config", str(path), "--format", "json-lines",
+                         "--out", str(quorum_out)]) == 0
+            quorum_meta = json.loads(quorum_out.read_text().splitlines()[0])["meta"]
+            assert sorted(summary["quorum"]) == sorted(QUORUM_REPORT)
+            for key in QUORUM_REPORT:
+                assert float(quorum_meta[key]).hex() == summary["quorum"][key].hex(), key
 
         records = [json.loads(line) for line in lines[1:]]
         assert len(records) == len(rows) > 0

@@ -181,11 +181,14 @@ class TestBuildGenerator:
 
     def test_overflowing_hamiltonian_fails_checks(self, quorum_for):
         # |H| = 2e307 at 2s = 4: the commutators overflow and every residue
-        # is NaN, which a check written as "residual > bound" would pass
+        # is NaN, which a check written as "residual > bound" would pass; the
+        # check reports it, so numpy warns of nothing
         h = 1e307 * np.asarray(spin_operators(Spin(4)).sz)
-        with np.errstate(over="ignore", invalid="ignore"):
+        q = quorum_for(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(InvariantViolationError, match="residue nan exceeds"):
-                build_generator(h, quorum_for(4))
+                build_generator(h, q)
 
 
 class TestModalCoefficients:

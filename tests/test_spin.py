@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,17 @@ class TestHamiltonian:
         quad = [[math.nan, 0, 0], [0, 0, 0], [0, 0, 0]]
         with pytest.raises(NonSymmetricCouplingError):
             build_hamiltonian(HamiltonianSpec(quadratic=quad), ops)
+
+    @pytest.mark.parametrize("spec", [HamiltonianSpec(linear=(0, 0, 1e308)),
+                                      HamiltonianSpec(quadratic=[[1e308, 0, 0], [0, 0, 0],
+                                                                 [0, 0, 0]])])
+    def test_overflowing_hamiltonian_rejected(self, spec):
+        # finite coefficients, but entries of H beyond the double range at 2s = 4
+        ops = spin_operators(Spin(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Hamiltonian has non-finite entries"):
+                build_hamiltonian(spec, ops)
 
     def test_driven_at_time(self):
         ops = spin_operators(Spin(1))
