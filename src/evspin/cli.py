@@ -1,8 +1,11 @@
 """Command-line front end: quorum reports, trajectory runs, reconstruction, spectra.
 
 Every subcommand is one run of ``_run``: it loads the config, resolves the
-output paths, parses the spin, builds the quorum and forms the preamble
-``config_hash, two_s, n_points`` that opens every table.  The subcommand
+output paths, parses the spin, takes the quorum and forms the preamble
+``config_hash, two_s, n_points`` that opens every table.  The quorum comes
+from ``_quorum``, a one-entry memo keyed by the ``QuorumConfig``, so a
+process that runs many jobs on one config builds and verifies its quorum
+once; the argument parser, too, is built once per process.  The subcommand
 (``cmd_*``) then parses its own fields and returns its meta tail, its
 columns and, for ``evolve``, its summary body; ``_run`` writes the table,
 then the summary.  ``_quorum_report`` is the quorum's residuals in both the
@@ -18,6 +21,7 @@ self-check, convergence, rk4 divergence).
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -479,6 +483,16 @@ def cmd_evolve(args, cfg, spin, quorum):
     return [], columns, summary
 
 
+@functools.lru_cache(maxsize=1)
+def _quorum(config):
+    """The quorum of ``config``, built once while it is the last config asked for.
+
+    ``build_quorum`` is looked up at call time, so a replaced module global
+    sees every real build.  A failed build raises and is not kept.
+    """
+    return build_quorum(config)
+
+
 def _run(args):
     """The pipeline of the module docstring; ``args.func`` is the ``cmd_*``.
 
@@ -487,7 +501,7 @@ def _run(args):
     cfg = _load_config(args.config)
     fmt, table_path, summary_path = _parse_output(cfg, args)
     spin = _parse_spin(cfg)
-    quorum = build_quorum(_parse_quorum_config(cfg, spin))
+    quorum = _quorum(_parse_quorum_config(cfg, spin))
     preamble = [("config_hash", _config_hash(cfg)),
                 ("two_s", spin.two_s),
                 ("n_points", quorum.size)]
@@ -499,6 +513,7 @@ def _run(args):
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="evspin",

@@ -139,7 +139,8 @@ def build_generator(hmat, quorum):
     Bounds, with |H| = max |eps_j|: the sandwich form's imaginary residue
     and its disagreement with the kept form at most 1e-10 max(1, |H|), and
     max |e^T M| at most 1e-9 max(1, max |M|) before e^T M is projected out
-    and 1e-9 max(1, |H|) after; each residue is linear in H.
+    and 1e-9 max(1, |H|) after; each residue is linear in H.  An H whose
+    spectrum overflows (|H| = inf) is rejected before any product.
 
     Certificate tolerance.  In exact arithmetic M V = V Lambda; the
     residual is the rounding made in forming M.  An entry of dual_m H sums
@@ -165,6 +166,11 @@ def build_generator(hmat, quorum):
             f"Hamiltonian is {hmat.shape}, quorum expects {quorum.dim}x{quorum.dim}")
     h_eigenvalues, h_eigenvectors = hermitian_eigendecomposition(hmat)
     h_norm = float(np.max(np.abs(h_eigenvalues)))
+    if not math.isfinite(h_norm):
+        # Every bound below scales with |H|; an infinite one certifies nothing.
+        raise InvariantViolationError(
+            f"Hamiltonian spectrum overflows: |H| = max |eps_j| is {h_norm} "
+            f"for entries up to {float(np.max(np.abs(hmat))):.3e}")
     h_scale = max(1.0, h_norm)
 
     d = quorum.dim

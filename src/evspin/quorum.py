@@ -57,7 +57,9 @@ class QuorumConfig:
         spin = _as_spin(self.spin)
         object.__setattr__(self, "spin", spin)
         cones = tuple(float(t) for t in self.cone_angles)
-        offsets = tuple(float(p) for p in self.azimuth_offsets)
+        # -0.0 and 0.0 compare and hash equal, so they must be stored alike:
+        # equal configs are then identical, whichever of them was seen first.
+        offsets = tuple(float(p) + 0.0 for p in self.azimuth_offsets)
         if len(cones) != spin.dim:
             raise ValueError(f"need {spin.dim} cone angles, got {len(cones)}")
         if len(offsets) != spin.dim:

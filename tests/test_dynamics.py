@@ -190,6 +190,17 @@ class TestBuildGenerator:
             with pytest.raises(InvariantViolationError, match="residue nan exceeds"):
                 build_generator(h, q)
 
+    def test_overflowing_spectrum_named(self, quorum_for):
+        # 1e308 sx at 2s = 4 has finite entries (at most 1.22e308) but
+        # eigenvalues +-4e308, so |H| and every bound scaled by it are inf
+        h = 1e308 * np.asarray(spin_operators(Spin(4)).sx)
+        q = quorum_for(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolationError,
+                               match=r"spectrum overflows: \|H\| = max \|eps_j\| is inf"):
+                build_generator(h, q)
+
 
 class TestModalCoefficients:
     @pytest.mark.filterwarnings("ignore::evspin.IllConditionedQuorumWarning")
