@@ -1,11 +1,8 @@
 """Command-line front end: quorum reports, trajectory runs, reconstruction, spectra.
 
 Every subcommand is one run of ``_run``: it loads the config, resolves the
-output paths, parses the spin, takes the quorum and forms the preamble
-``config_hash, two_s, n_points`` that opens every table.  The quorum comes
-from ``_quorum``, a one-entry memo keyed by the ``QuorumConfig``, so a
-process that runs many jobs on one config builds and verifies its quorum
-once; the argument parser, too, is built once per process.  The subcommand
+output paths, parses the spin, builds the quorum and forms the preamble
+``config_hash, two_s, n_points`` that opens every table.  The subcommand
 (``cmd_*``) then parses its own fields and returns its meta tail, its
 columns and, for ``evolve``, its summary body; ``_run`` writes the table,
 then the summary.  ``_quorum_report`` is the quorum's residuals in both the
@@ -21,7 +18,6 @@ self-check, convergence, rk4 divergence).
 """
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -109,7 +105,9 @@ def _number(value, field):
 def _number_list(value, field, length=None):
     if not isinstance(value, list):
         raise ConfigError(f"field '{field}' must be a list of numbers")
-    out = [_number(v, f"{field}[{i}]") for i, v in enumerate(value)]
+    # A finite float passes as it is; only other entries get named and checked.
+    out = [v if type(v) is float and math.isfinite(v) else _number(v, f"{field}[{i}]")
+           for i, v in enumerate(value)]
     if length is not None and len(out) != length:
         raise ConfigError(f"field '{field}' must have length {length}, got {len(out)}")
     return out
@@ -483,16 +481,6 @@ def cmd_evolve(args, cfg, spin, quorum):
     return [], columns, summary
 
 
-@functools.lru_cache(maxsize=1)
-def _quorum(config):
-    """The quorum of ``config``, built once while it is the last config asked for.
-
-    ``build_quorum`` is looked up at call time, so a replaced module global
-    sees every real build.  A failed build raises and is not kept.
-    """
-    return build_quorum(config)
-
-
 def _run(args):
     """The pipeline of the module docstring; ``args.func`` is the ``cmd_*``.
 
@@ -501,7 +489,7 @@ def _run(args):
     cfg = _load_config(args.config)
     fmt, table_path, summary_path = _parse_output(cfg, args)
     spin = _parse_spin(cfg)
-    quorum = _quorum(_parse_quorum_config(cfg, spin))
+    quorum = build_quorum(_parse_quorum_config(cfg, spin))
     preamble = [("config_hash", _config_hash(cfg)),
                 ("two_s", spin.two_s),
                 ("n_points", quorum.size)]
@@ -513,8 +501,13 @@ def _run(args):
     return EXIT_OK
 
 
-@functools.cache
 def _build_parser():
+    # The options every subcommand takes, declared once and shared.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="path to the JSON run configuration")
+    common.add_argument("--out", default=None, help="output path (default: stdout or config 'output')")
+    common.add_argument("--format", choices=("csv", "json-lines"), default=None,
+                        help="output format (default: csv or config 'output.format')")
     parser = argparse.ArgumentParser(
         prog="evspin",
         description="Spin-s dynamics on coherent-state probabilities: build "
@@ -526,11 +519,7 @@ def _build_parser():
             ("evolve", cmd_evolve, "propagate a probability vector over a time grid"),
             ("reconstruct", cmd_reconstruct, "convert between states and probability vectors"),
             ("spectrum", cmd_spectrum, "print eigenvalues of the Hamiltonian and the flow generator")):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", required=True, help="path to the JSON run configuration")
-        p.add_argument("--out", default=None, help="output path (default: stdout or config 'output')")
-        p.add_argument("--format", choices=("csv", "json-lines"), default=None,
-                       help="output format (default: csv or config 'output.format')")
+        p = sub.add_parser(name, help=helptext, parents=[common])
         if name == "evolve":
             p.add_argument("--oracle", action="store_true",
                            help="add a column comparing against direct density-matrix propagation")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,8 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import evspin.cli
-from evspin.cli import _quorum, _write_table, main
+from evspin.cli import _write_table, main
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -234,11 +234,14 @@ class TestEvolveCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    def test_overflowing_drive_spectrum_is_numerical_failure(self, tmp_path, capsys):
-        # a drive of 1e308 sx at 2s = 4 has finite entries but eigenvalues
-        # +-4e308: the drive's generator names the overflow before any product
+    @pytest.mark.parametrize("drive", [[1e308, 0.0, 0.0], [1.1e308, 1.1e308, 0.0]])
+    def test_overflowing_drive_spectrum_is_numerical_failure(self, tmp_path, capsys, drive):
+        # at 2s = 4 both drives have finite entries but an overflowing
+        # spectrum (1e308 sx: eigenvalues +-4e308; the second has entries of
+        # modulus 1.35e308): the drive's generator names the overflow
+        # before any product
         ham = {"linear": [0.0, 0.0, 1.0],
-               "drive": {"linear": [1e308, 0.0, 0.0],
+               "drive": {"linear": drive,
                          "envelope": {"shape": "cosine", "amplitude": 0.5, "frequency": 2.0}}}
         path, _ = write_config(tmp_path, two_s=4, hamiltonian=ham, method="rk4")
         out = tmp_path / "traj.csv"
@@ -246,8 +249,8 @@ class TestEvolveCommand:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: Hamiltonian spectrum overflows: "
-                              "|H| = max |eps_j| is inf")
+        assert re.match(r"numerical failure: Hamiltonian spectrum overflows: "
+                        r"\|H\| = max \|eps_j\| is (inf|nan)\n", err)
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -269,72 +272,6 @@ class TestEvolveCommand:
         record = json.loads(lines[1])
         assert set(record) == {"t", "P", "ePdot", "minP", "maxP", "sumP"}
         assert len(record["P"]) == 4
-
-
-@pytest.fixture
-def fresh_memo():
-    """An empty quorum memo before and after the test."""
-    _quorum.cache_clear()
-    yield
-    _quorum.cache_clear()
-
-
-def run_outputs(tmp_path, command, path, name):
-    """(table, summary) bytes of one run; summary is None where none is written."""
-    out = tmp_path / name
-    assert main([command, "--config", str(path), "--out", str(out)]) == 0
-    summary = tmp_path / (name + ".summary.json")
-    return out.read_bytes(), summary.read_bytes() if summary.exists() else None
-
-
-@pytest.mark.usefixtures("fresh_memo")
-class TestQuorumMemo:
-    def test_one_build_per_config(self, tmp_path, monkeypatch):
-        built, build_quorum = [], evspin.cli.build_quorum
-
-        def counted(config):
-            built.append(config.spin.two_s)
-            return build_quorum(config)
-
-        monkeypatch.setattr(evspin.cli, "build_quorum", counted)
-        path, _ = write_config(tmp_path)
-        other, _ = write_config(tmp_path, name="other.json", two_s=2)
-        assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "a.csv")]) == 0
-        assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "b.csv")]) == 0
-        assert built == [1]
-        assert main(["evolve", "--config", str(other), "--out", str(tmp_path / "c.csv")]) == 0
-        assert built == [1, 2]
-
-    def test_failed_build_fails_every_run(self, tmp_path, capsys):
-        bad, _ = write_config(
-            tmp_path, quorum={"cone_angles": [1.0, 1.0], "azimuth_offsets": [0.0, 0.0]})
-        good, _ = write_config(tmp_path, name="good.json")
-        for _ in range(2):
-            assert main(["quorum", "--config", str(bad)]) == 3
-            assert capsys.readouterr().err.startswith("numerical failure")
-        assert main(["quorum", "--config", str(good)]) == 0
-
-    def test_warm_run_matches_cold(self, tmp_path):
-        path, _ = write_config(tmp_path, initial_state={"random_pure": {"seed": 7}})
-        cold = run_outputs(tmp_path, "evolve", path, "cold.csv")
-        assert run_outputs(tmp_path, "evolve", path, "warm.csv") == cold
-        assert cold[1] is not None
-
-    def test_signed_zero_offset_in_either_order(self, tmp_path):
-        # -0.0 and 0.0 give equal configs, so one memo entry serves both;
-        # each must still write what a cold run of it writes
-        runs = {}
-        for name, zero in (("neg", -0.0), ("pos", 0.0)):
-            path, _ = write_config(tmp_path, name=f"{name}.json",
-                                   quorum={"azimuth_offsets": [zero, math.pi / 2]})
-            _quorum.cache_clear()
-            runs[name] = path, run_outputs(tmp_path, "quorum", path, f"{name}_cold.csv")
-        assert b"# azimuth_offsets = [0.0, " in runs["neg"][1][0]
-        for order in (("neg", "pos"), ("pos", "neg")):
-            _quorum.cache_clear()
-            for name in order:
-                path, cold = runs[name]
-                assert run_outputs(tmp_path, "quorum", path, f"{name}_warm.csv") == cold
 
 
 class TestReconstructCommand:

@@ -190,15 +190,20 @@ class TestBuildGenerator:
             with pytest.raises(InvariantViolationError, match="residue nan exceeds"):
                 build_generator(h, q)
 
-    def test_overflowing_spectrum_named(self, quorum_for):
-        # 1e308 sx at 2s = 4 has finite entries (at most 1.22e308) but
-        # eigenvalues +-4e308, so |H| and every bound scaled by it are inf
-        h = 1e308 * np.asarray(spin_operators(Spin(4)).sx)
+    @pytest.mark.parametrize("fields", [(1e308, 0.0), (1.1e308, 1.1e308)])
+    def test_overflowing_spectrum_named(self, quorum_for, fields):
+        # At 2s = 4, 1e308 sx has finite entries (at most 1.22e308) but
+        # eigenvalues +-4e308, so |H| and every bound scaled by it are inf.
+        # 1.1e308 (sx + sy) has finite real and imaginary parts, but its
+        # entries' moduli (1.35e308) overflow: the message must not take them.
+        ops = spin_operators(Spin(4))
+        h = fields[0] * np.asarray(ops.sx) + fields[1] * np.asarray(ops.sy)
+        assert np.all(np.isfinite(h))
         q = quorum_for(4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvariantViolationError,
-                               match=r"spectrum overflows: \|H\| = max \|eps_j\| is inf"):
+                               match=r"spectrum overflows: \|H\| = max \|eps_j\| is (inf|nan)$"):
                 build_generator(h, q)
 
 

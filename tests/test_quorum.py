@@ -149,6 +149,23 @@ class TestBuildQuorum:
         q = quorum_for(0)
         assert (q.min_gram_eigenvalue, q.condition_number) == (1.0, 1.0)
 
+    @pytest.mark.filterwarnings("ignore::evspin.IllConditionedQuorumWarning")
+    @pytest.mark.parametrize("config", [
+        *(default_config(Spin(two_s)) for two_s in range(15)),
+        QuorumConfig(Spin(3), (0.3, 1.0, 2.0, 2.9), (0.1, 1.3, 0.2, 4.0)),
+        QuorumConfig(Spin(2), (1.0, 1.0001, 2.0), (0.0, 0.5, 1.0))],
+        ids=[f"default-{two_s}" for two_s in range(15)] + ["skewed", "near-duplicate"])
+    def test_gram_extremes_match_singular_values_of_t(self, config):
+        # G's eigenvalues are the squared singular values of T.  Those of the
+        # rotation blocks carry a relative error of order eps kappa(T) at the
+        # small end, so the extremes must agree with T's within N eps kappa(T);
+        # eigenvalues of G itself miss this already at 2s = 10 (4e-10).
+        q = build_quorum(config)
+        sigma = np.linalg.svd(q.matrix, compute_uv=False)
+        bound = q.size * np.finfo(float).eps * sigma[0] / sigma[-1]
+        assert abs(q.min_gram_eigenvalue / sigma[-1] ** 2 - 1.0) <= bound
+        assert abs(q.condition_number / (sigma[0] / sigma[-1]) ** 2 - 1.0) <= bound
+
     def test_duplicate_directions_singular(self):
         cfg = QuorumConfig(Spin(1), (1.0, 1.0), (0.5, 0.5))
         with pytest.raises(SingularQuorumError) as info:
