@@ -10,6 +10,8 @@ evolution law itself.
 """
 
 from .errors import (
+    Check,
+    ConservationViolationError,
     ConvergenceFailureError,
     DegenerateSpectrumWarning,
     DimensionMismatchError,

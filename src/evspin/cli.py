@@ -5,7 +5,7 @@ output paths, parses the spin, builds the quorum and forms the preamble
 ``config_hash, two_s, n_points`` that opens every table.  The subcommand
 (``cmd_*``) then parses its own fields and returns its meta tail, its
 columns and, for ``evolve``, its summary body; ``_run`` writes the table,
-then the summary.  ``_quorum_report`` is the quorum's residuals in both the
+then the summary.  ``_quorum_report`` is the quorum's self-checks in both the
 ``quorum`` table and the ``evolve`` summary.
 
 The CLI does no arithmetic of its own; every emitted number comes from a
@@ -364,12 +364,14 @@ def _write_table(path, fmt, meta, columns):
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _check_report(checks):
+    """Each check's residual and bound, as (key, value) pairs."""
+    return [pair for c in checks for pair in ((c.name, c.residual), (f"{c.name}_bound", c.bound))]
+
+
 def _quorum_report(quorum):
-    """The quorum's conditioning and self-check residuals, as (key, value) pairs."""
-    return [("condition_number", quorum.condition_number),
-            ("min_gram_eigenvalue", quorum.min_gram_eigenvalue),
-            ("duality_residual", quorum.duality_residual),
-            ("identity_expansion_residual", quorum.identity_residual)]
+    """The quorum's self-checks and smallest Gram eigenvalue, as (key, value) pairs."""
+    return _check_report(quorum.checks) + [("min_gram_eigenvalue", quorum.min_gram_eigenvalue)]
 
 
 def cmd_quorum(args, cfg, spin, quorum):
@@ -459,12 +461,7 @@ def cmd_evolve(args, cfg, spin, quorum):
         "substeps": substeps if method == "rk4" else None,
         "driven": driven,
         "quorum": dict(_quorum_report(quorum)),
-        "generator": {
-            "imag_residue": static_gen.imag_residue,
-            "cross_check_deviation": static_gen.cross_check_deviation,
-            "conservation_residual": static_gen.conservation_residual,
-            "bohr_deviation": static_gen.bohr_deviation,
-        },
+        "generator": dict(_check_report(static_gen.checks)),
         "spectrum_h": [float(e) for e in static_gen.h_eigenvalues],
         "spectrum_m": [[z.real, z.imag] for z in generator_eigenvalues(static_gen).tolist()],
         "normalization": {

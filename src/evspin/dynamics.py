@@ -25,10 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConservationViolationError,
     DegenerateSpectrumWarning,
     DimensionMismatchError,
     InvariantViolationError,
     MethodUnsupportedError,
+    require,
+    residual_of,
 )
 from .linalg import hermitian_eigendecomposition, require_hermitian
 from .representation import PVector
@@ -70,9 +73,12 @@ class Generator:
     """Real (2s+1)^2 x (2s+1)^2 generator of the probability flow.
 
     Carries the Hamiltonian it was built from, the certified eigenbasis of
-    M, and the residuals of the build-time self-checks (imaginary part of
-    the sandwich form, its deviation from the kept quorum-matrix form,
-    conservation functional, eigenbasis certificate).
+    M, and ``checks``, the ``Check`` records of ``build_generator``:
+    ``imag_residue`` (of the sandwich form), ``cross_check_deviation``
+    (against the kept form), ``raw_conservation_residual`` and
+    ``conservation_residual`` (max |e^T M| before and after projection) and
+    ``bohr_deviation`` (eigenbasis certificate), all but the raw one also
+    attributes.
 
     With H = sum_j eps_j |j><j| and the pair index jk = j * (2s+1) + k:
 
@@ -92,10 +98,12 @@ class Generator:
     h_eigenvectors: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    imag_residue: float
-    cross_check_deviation: float
-    conservation_residual: float
-    bohr_deviation: float
+    checks: tuple
+
+    imag_residue = residual_of("imag_residue")
+    cross_check_deviation = residual_of("cross_check_deviation")
+    conservation_residual = residual_of("conservation_residual")
+    bohr_deviation = residual_of("bohr_deviation")
 
 
 @dataclass(frozen=True)
@@ -119,13 +127,6 @@ class DrivenGenerator:
         return self.static.quorum
 
 
-# Bounds of build_generator's self-checks (see its docstring).  Each check
-# reads "not residual <= bound", so that a NaN residual fails it.
-_REALNESS_TOL = 1e-10
-_CROSS_CHECK_TOL = 1e-10
-_CONSERVATION_TOL = 1e-9
-
-
 def build_generator(hmat, quorum):
     """Build and verify the flow generator for Hamiltonian ``hmat``.
 
@@ -136,10 +137,12 @@ def build_generator(hmat, quorum):
     T.  The two are compared, e^T M = 0 is enforced, and the closed-form
     eigenbasis of M (see ``Generator``) is certified before returning.
 
-    Bounds, with |H| = max |eps_j|: the sandwich form's imaginary residue
+    Bounds, each a ``require`` kept in ``Generator.checks``, with
+    |H| = max |eps_j|: the sandwich form's imaginary residue
     and its disagreement with the kept form at most 1e-10 max(1, |H|), and
     max |e^T M| at most 1e-9 max(1, max |M|) before e^T M is projected out
-    and 1e-9 max(1, |H|) after; each residue is linear in H.  An H whose
+    and 1e-9 max(1, |H|) after; each residue is linear in H.  The two
+    conservation checks raise ``ConservationViolationError``.  An H whose
     spectrum overflows (|H| = inf) is rejected before any product.
 
     Certificate tolerance.  In exact arithmetic M V = V Lambda; the
@@ -184,44 +187,28 @@ def build_generator(hmat, quorum):
         # The sandwich form, <n|C|n> = sum_ij conj(Q_n[i, j]) C_ij, reads the projectors.
         sandwiches = quorum.projectors.conj().reshape(size, d * d)
         m_sandwich = sandwiches @ commutators.reshape(size, d * d).T / d
-    imag_residue = float(np.max(np.abs(m_sandwich.imag)))
-    if not imag_residue <= _REALNESS_TOL * h_scale:
-        raise InvariantViolationError(
-            f"generator imaginary residue {imag_residue:.3e} exceeds "
-            f"{_REALNESS_TOL * h_scale:.1e}")
-    cross = float(np.max(np.abs(matrix - m_sandwich.real)))
-    if not cross <= _CROSS_CHECK_TOL * h_scale:
-        raise InvariantViolationError(
-            f"quorum-matrix and sandwich forms disagree by {cross:.3e}, above "
-            f"{_CROSS_CHECK_TOL * h_scale:.1e}")
+    checks = [require("imag_residue", np.max(np.abs(m_sandwich.imag)), 1e-10 * h_scale),
+              require("cross_check_deviation", np.max(np.abs(matrix - m_sandwich.real)),
+                      1e-10 * h_scale)]
 
     raw_traces = quorum.dual_traces * d
-    scale = max(1.0, float(np.max(np.abs(matrix))))
-    raw_conservation = float(np.max(np.abs(raw_traces @ matrix)))
-    if not raw_conservation <= _CONSERVATION_TOL * scale:
-        raise InvariantViolationError(
-            f"conservation functional violated: max |e^T M| = {raw_conservation:.3e} "
-            f"for generator scale {scale:.3e}")
+    checks.append(require("raw_conservation_residual", np.max(np.abs(raw_traces @ matrix)),
+                          1e-9 * max(1.0, float(np.max(np.abs(matrix)))),
+                          ConservationViolationError))
     # e^T M = 0 holds exactly for the true generator; once the raw residual is
     # consistent with rounding, project it out so the conserved functional
     # cannot drift along long trajectories.
     matrix -= np.outer(raw_traces, raw_traces @ matrix) / float(raw_traces @ raw_traces)
-    conservation = float(np.max(np.abs(raw_traces @ matrix)))
-    if not conservation <= _CONSERVATION_TOL * h_scale:
-        raise InvariantViolationError(
-            f"conservation functional violated after projection: {conservation:.3e} "
-            f"exceeds {_CONSERVATION_TOL * h_scale:.1e}")
+    checks.append(require("conservation_residual", np.max(np.abs(raw_traces @ matrix)),
+                          1e-9 * h_scale, ConservationViolationError))
 
     overlaps = quorum.amplitudes.conj() @ h_eigenvectors  # <n|j>
     eigenvectors = (overlaps[:, :, None] * overlaps.conj()[:, None, :]).reshape(size, size)
     eigenvalues = np.zeros(size, dtype=complex)
     eigenvalues.imag = (h_eigenvalues[None, :] - h_eigenvalues[:, None]).reshape(-1)
-    bohr_dev = float(np.max(np.abs(matrix @ eigenvectors - eigenvectors * eigenvalues)))
-    bohr_tol = 2 * size * d * np.finfo(float).eps * h_norm * float(np.max(np.abs(duals)))
-    if not bohr_dev <= bohr_tol:
-        raise InvariantViolationError(
-            f"generator eigenbasis certificate failed: max |M V - V Lambda| = "
-            f"{bohr_dev:.3e} exceeds {bohr_tol:.3e}")
+    checks.append(require(
+        "bohr_deviation", np.max(np.abs(matrix @ eigenvectors - eigenvectors * eigenvalues)),
+        2 * size * d * np.finfo(float).eps * h_norm * float(np.max(np.abs(duals)))))
 
     return Generator(
         matrix=_freeze(matrix),
@@ -231,10 +218,7 @@ def build_generator(hmat, quorum):
         h_eigenvectors=_freeze(h_eigenvectors),
         eigenvalues=_freeze(eigenvalues),
         eigenvectors=_freeze(eigenvectors),
-        imag_residue=imag_residue,
-        cross_check_deviation=cross,
-        conservation_residual=conservation,
-        bohr_deviation=bohr_dev,
+        checks=tuple(checks),
     )
 
 

@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the self-check record."""
+
+from dataclasses import dataclass
 
 
 class DimensionMismatchError(ValueError):
@@ -27,6 +29,8 @@ class SingularQuorumError(RuntimeError):
     operators cannot be distinguished by the measured probabilities.
     """
 
+    lead = "Gram matrix not positive definite, direction set not informationally complete"
+
     def __init__(self, message, min_eigenvalue=None):
         super().__init__(message)
         self.min_eigenvalue = min_eigenvalue
@@ -38,6 +42,42 @@ class InvariantViolationError(RuntimeError):
     Raised eagerly so that a numerically broken object never escapes its
     constructor; downstream results silently depend on these identities.
     """
+
+    lead = "self-check failed"
+
+
+class ConservationViolationError(InvariantViolationError):
+    """The generator violates e^T M = 0, the conservation of e . P = Tr[rho]."""
+
+    lead = "conservation functional violated"
+
+
+@dataclass(frozen=True)
+class Check:
+    """One build-time self-check: its residual and the bound it met."""
+
+    name: str
+    residual: float
+    bound: float
+
+
+def require(name, residual, bound, error=InvariantViolationError, **details):
+    """The ``Check`` of ``residual`` against ``bound``, or ``error`` unless residual <= bound.
+
+    Written "not residual <= bound", so that a NaN residual fails.  The
+    message is the error's ``lead``, the name with spaces, the residual and
+    the bound; ``details`` go to ``error`` as keywords.
+    """
+    check = Check(name, float(residual), float(bound))
+    if not check.residual <= check.bound:
+        raise error(f"{error.lead}: {name.replace('_', ' ')} {check.residual:.3e} "
+                    f"exceeds {check.bound:.3e}", **details)
+    return check
+
+
+def residual_of(name):
+    """A read-only attribute: the residual of the check ``name`` in ``self.checks``."""
+    return property(lambda self: next(c.residual for c in self.checks if c.name == name))
 
 
 class LambdaOutOfRangeError(ValueError):

@@ -24,11 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IllConditionedQuorumWarning,
-    InvariantViolationError,
-    SingularQuorumError,
-)
+from .errors import IllConditionedQuorumWarning, SingularQuorumError, require, residual_of
 from .spin import Direction, Spin, _as_spin, _freeze, coherent_amplitudes
 
 __all__ = [
@@ -111,7 +107,9 @@ class Quorum:
     is T^{-1} and ``gram`` = T T^T.  ``dual_traces`` holds e_n =
     Tr[dual_n] / (2s+1), the coefficients of the functional e . P = Tr[rho].
     ``directions`` and ``gram`` serve reports and tests, not the dynamics,
-    and are formed on first use.
+    and are formed on first use.  ``checks`` holds ``build_quorum``'s
+    ``Check`` records, which ``condition_number``, ``duality_residual`` and
+    ``identity_residual`` read.
     """
 
     config: QuorumConfig
@@ -122,9 +120,11 @@ class Quorum:
     duals: np.ndarray
     dual_traces: np.ndarray
     min_gram_eigenvalue: float
-    condition_number: float
-    duality_residual: float
-    identity_residual: float
+    checks: tuple
+
+    condition_number = residual_of("condition_number")
+    duality_residual = residual_of("duality_residual")
+    identity_residual = residual_of("identity_expansion_residual")
 
     @functools.cached_property
     def directions(self):
@@ -232,10 +232,6 @@ def _hermitian_from_coordinates(x, d):
     return a
 
 
-# Bounds of build_quorum's self-checks (see its docstring).
-_PROJECTOR_TOL = 1e-12
-_DUALITY_TOL = 1e-9
-_IDENTITY_TOL = 1e-8
 _CONDITION_WARN = 1e8
 
 
@@ -264,9 +260,11 @@ def build_quorum(config):
     the column sums of T^{-1}'s rows for the diagonal units E_ii, against
     (2s+1) on those units.  It tests T^{-1} T where duality tests T T^{-1}.
 
-    Bounds, each absolute and fixed: the projectors' norms within 1e-12 of
-    1, the duality residual at most 1e-9, the identity expansion residual
-    at most 1e-8, and a warning above a Gram condition number of 1e8.
+    Checks, each a ``require`` kept in ``Quorum.checks`` in this order:
+    ``projector_norm_deviation`` at most 1e-12, ``condition_number``
+    kappa(G) at most 1/(N eps) (positive definiteness: a zero or NaN
+    eigenvalue fails it), ``duality_residual`` at most 1e-9 and
+    ``identity_expansion_residual`` at most 1e-8.  kappa(G) above 1e8 warns.
 
     Gram spectrum: from d blocks of size d, not from G.  The rotation about
     z by 2 pi / d takes azimuth j of every cone to j + 1, so
@@ -312,10 +310,8 @@ def build_quorum(config):
     projectors = amplitudes[:, :, None] * amplitudes[:, None, :].conj()
     # Q = |psi><psi| has Q^2 - Q = (|psi|^2 - 1) Q and Tr Q = |psi|^2, so the
     # norms bound both idempotency and trace.
-    norm_dev = float(np.max(np.abs(np.einsum("nii->n", projectors).real - 1.0)))
-    if not norm_dev <= _PROJECTOR_TOL:
-        raise InvariantViolationError(
-            f"projector self-check failed: idempotency and trace off by {norm_dev:.3e}")
+    checks = [require("projector_norm_deviation",
+                      np.max(np.abs(np.einsum("nii->n", projectors).real - 1.0)), 1e-12)]
 
     quorum_matrix = _hermitian_coordinates(projectors)
 
@@ -325,13 +321,10 @@ def build_quorum(config):
     blocks = projectors[::d][:, diag, wrapped].transpose(1, 0, 2)
     eigs = d * np.linalg.svd(blocks, compute_uv=False) ** 2
     min_eig = float(eigs.min())
-    max_eig = float(eigs.max())
-    if not min_eig > max_eig * size * np.finfo(float).eps:
-        raise SingularQuorumError(
-            f"Gram matrix not positive definite (min eigenvalue {min_eig:.3e}); "
-            "direction set is not informationally complete",
-            min_eigenvalue=min_eig)
-    condition = max_eig / min_eig
+    with np.errstate(divide="ignore", invalid="ignore"):  # inf or NaN fails the check
+        condition = float(eigs.max() / min_eig)
+    checks.append(require("condition_number", condition, 1.0 / (size * np.finfo(float).eps),
+                          SingularQuorumError, min_eigenvalue=min_eig))
     if condition > _CONDITION_WARN:
         warnings.warn(
             f"Gram condition number {condition:.3e} exceeds "
@@ -350,21 +343,12 @@ def build_quorum(config):
     # real product of coordinates.  Those of the duals are gathered afresh
     # from the scattered operators, so the scatter is checked too.
     delta = quorum_matrix @ _hermitian_coordinates(duals).T / d
-    duality_residual = float(np.max(np.abs(delta - np.eye(size))))
-    if not duality_residual <= _DUALITY_TOL:
-        raise InvariantViolationError(
-            f"duality residual {duality_residual:.3e} exceeds {_DUALITY_TOL:.1e} "
-            f"at 2s = {spin.two_s} (Gram condition number {condition:.2e}): the direction "
-            "layout is too ill-conditioned at this spin")
+    checks.append(require("duality_residual", np.max(np.abs(delta - np.eye(size))), 1e-9))
 
     raw_traces = (d * inverse[:d]).sum(axis=0)
     identity_image = raw_traces @ quorum_matrix
     identity_image[:d] -= d
-    identity_residual = float(np.max(np.abs(identity_image)))
-    if not identity_residual <= _IDENTITY_TOL:
-        raise InvariantViolationError(
-            f"identity expansion residual {identity_residual:.3e} exceeds "
-            f"{_IDENTITY_TOL:.1e}")
+    checks.append(require("identity_expansion_residual", np.max(np.abs(identity_image)), 1e-8))
 
     return Quorum(
         config=config,
@@ -375,9 +359,7 @@ def build_quorum(config):
         duals=_freeze(duals),
         dual_traces=_freeze(raw_traces / d),
         min_gram_eigenvalue=min_eig,
-        condition_number=float(condition),
-        duality_residual=duality_residual,
-        identity_residual=identity_residual,
+        checks=tuple(checks),
     )
 
 
@@ -418,7 +400,7 @@ def quorum_from_document(text):
     if "directions" in data:
         recorded = np.asarray(data["directions"], dtype=float)
         rebuilt = np.array([[d.theta, d.phi] for d in quorum.directions])
-        if recorded.shape != rebuilt.shape or np.max(np.abs(recorded - rebuilt)) > 1e-9:
+        if recorded.shape != rebuilt.shape or not np.max(np.abs(recorded - rebuilt)) <= 1e-9:
             raise ValueError("recorded directions do not match the rebuilt quorum")
     if "condition_number" in data:
         recorded_cond = float(data["condition_number"])

@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvariantViolationError,
-    LambdaOutOfRangeError,
-)
+from .errors import DimensionMismatchError, LambdaOutOfRangeError, require
 from .linalg import require_hermitian
 from .quorum import _hermitian_coordinates, _hermitian_from_coordinates
 from .spin import _freeze
@@ -147,12 +143,9 @@ def expand_operator(a, quorum):
         recon_primal = _hermitian_from_coordinates(primal @ quorum.matrix / quorum.dim,
                                                    quorum.dim)
         recon_dual = quorum.operator(dual)
-        err = max(float(np.max(np.abs(recon_primal - a))),
-                  float(np.max(np.abs(recon_dual - a))))
-    bound = 1e-9 * max(1.0, float(np.max(np.abs(a))))
-    if not err <= bound:
-        raise InvariantViolationError(
-            f"operator reconstruction error {err:.3e} exceeds {bound:.1e}")
+        require("operator_reconstruction_error",
+                np.max(np.abs([recon_primal - a, recon_dual - a])),
+                1e-9 * max(1.0, float(np.max(np.abs(a)))))
     return OperatorCoefficients(_freeze(primal), _freeze(dual), quorum)
 
 

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from evspin import (HamiltonianSpec, Spin, build_generator, build_hamiltonian, build_quorum,
+                    default_config, spin_operators)
 from evspin.cli import _write_table, main
 
 
@@ -594,15 +596,18 @@ def parse_csv(text):
 
 
 PREAMBLE = ["config_hash", "two_s", "n_points"]
-QUORUM_REPORT = ("condition_number", "min_gram_eigenvalue", "duality_residual",
-                 "identity_expansion_residual")
+QUORUM_REPORT = ("projector_norm_deviation", "projector_norm_deviation_bound",
+                 "condition_number", "condition_number_bound",
+                 "duality_residual", "duality_residual_bound",
+                 "identity_expansion_residual", "identity_expansion_residual_bound",
+                 "min_gram_eigenvalue")
 
 
 class TestCrossFormat:
     @pytest.mark.parametrize("branch", sorted(BRANCHES))
     def test_csv_and_json_lines_hold_one_table(self, tmp_path, branch):
         command, overrides, flags = BRANCHES[branch]
-        path, _ = write_config(tmp_path, **overrides)
+        path, cfg = write_config(tmp_path, **overrides)
         text = {}
         for fmt in ("csv", "json-lines"):
             out = tmp_path / f"table.{fmt}"
@@ -628,6 +633,17 @@ class TestCrossFormat:
             assert sorted(summary["quorum"]) == sorted(QUORUM_REPORT)
             for key in QUORUM_REPORT:
                 assert float(quorum_meta[key]).hex() == summary["quorum"][key].hex(), key
+            # the generator block is every check of the static generator: the
+            # residual under its name and the bound under the name + "_bound"
+            spin = Spin(cfg["two_s"])
+            static = HamiltonianSpec(linear=tuple(cfg["hamiltonian"]["linear"]))
+            gen = build_generator(build_hamiltonian(static, spin_operators(spin)),
+                                  build_quorum(default_config(spin)))
+            expected = {}
+            for check in gen.checks:
+                expected[check.name] = check.residual.hex()
+                expected[check.name + "_bound"] = check.bound.hex()
+            assert {key: value.hex() for key, value in summary["generator"].items()} == expected
 
         records = [json.loads(line) for line in lines[1:]]
         assert len(records) == len(rows) > 0

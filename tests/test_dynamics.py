@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import evspin.dynamics as dynamics_module
 from evspin import (
+    ConservationViolationError,
     DegenerateSpectrumWarning,
     DimensionMismatchError,
     Drive,
@@ -167,8 +169,38 @@ class TestBuildGenerator:
         # amplitudes, so a quorum matrix out of step with the amplitudes is caught.
         order = [1, 0] + list(range(2, q.size))
         swapped = dataclasses.replace(q, matrix=q.matrix[order])
-        with pytest.raises(InvariantViolationError, match="quorum-matrix and sandwich"):
+        with pytest.raises(InvariantViolationError, match="cross check deviation"):
             build_generator(h, swapped)
+
+    def test_perturbed_dual_traces_fail_raw_conservation(self, quorum_for):
+        # One entry of e off by 1e-6 leaves e^T M of order 1e-6 |M|.  Scaling
+        # every entry would not: e stays a left null vector of M.
+        q = quorum_for(2)
+        traces = np.array(q.dual_traces)
+        traces[0] += 1e-6
+        h = random_hermitian(q.dim, np.random.default_rng(44))
+        with pytest.raises(ConservationViolationError,
+                           match="conservation functional violated: raw conservation residual"):
+            build_generator(h, dataclasses.replace(q, dual_traces=traces))
+
+    def test_rotated_eigenbasis_fails_certificate(self, quorum_for, monkeypatch):
+        # H's eigenvectors 0 and 1 turned into each other by 1e-8: V is off by
+        # 1e-8, and M V - V Lambda by 1e-8 |eps_0 - eps_1|, far above the
+        # rounding bound of about 1e-13 at 2s = 2.
+        original = dynamics_module.hermitian_eigendecomposition
+
+        def rotated(h):
+            eps, u = original(h)
+            c, s = math.cos(1e-8), math.sin(1e-8)
+            u = u.copy()
+            u[:, 0], u[:, 1] = c * u[:, 0] + s * u[:, 1], c * u[:, 1] - s * u[:, 0]
+            return eps, u
+
+        monkeypatch.setattr(dynamics_module, "hermitian_eigendecomposition", rotated)
+        q = quorum_for(2)
+        h = random_hermitian(q.dim, np.random.default_rng(44))
+        with pytest.raises(InvariantViolationError, match="bohr deviation"):
+            build_generator(h, q)
 
     def test_non_hermitian_rejected(self, quorum_for):
         from evspin import NotHermitianError

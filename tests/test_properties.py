@@ -6,7 +6,13 @@ H = sz is also checked at 2s = 10 and 12.  For each one the eigenbasis certifica
 derived in ``build_generator``, a numerical eigendecomposition of M must
 reproduce the Bohr frequencies, and exact propagation must compose:
 P(t1 + t2) = exp(t2 M) exp(t1 M) P0.
+
+The self-check records of the quorum and the generator are checked too,
+for every 2s from 0 to 10: unique names, finite bounds, every residual
+within its bound, and each named residual attribute read from its record.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -98,3 +104,26 @@ def test_sz_at_spin_six():
     with pytest.warns(IllConditionedQuorumWarning):
         q = build_quorum(default_config(Spin(12)))
     check_properties(q, hamiltonian(12, "sz", 0, 1.0, None), 0, 0.7, 1.9)
+
+
+QUORUM_RESIDUALS = {"condition_number": "condition_number",
+                    "duality_residual": "duality_residual",
+                    "identity_residual": "identity_expansion_residual"}
+GENERATOR_RESIDUALS = {name: name for name in ("imag_residue", "cross_check_deviation",
+                                               "conservation_residual", "bohr_deviation")}
+
+
+@pytest.mark.parametrize("two_s", range(11))
+@settings(max_examples=6, deadline=None)
+@given(kind=st.sampled_from(("random", "sz")), seed=seeds)
+def test_check_records(quorum_for, two_s, kind, seed):
+    q = quorum_for(two_s)
+    gen = build_generator(hamiltonian(two_s, kind, seed, 1.0, None), q)
+    for owner, attributes in ((q, QUORUM_RESIDUALS), (gen, GENERATOR_RESIDUALS)):
+        records = {check.name: check for check in owner.checks}
+        assert len(records) == len(owner.checks)
+        for check in owner.checks:
+            assert math.isfinite(check.bound)
+            assert check.residual <= check.bound, check
+        for attribute, name in attributes.items():
+            assert getattr(owner, attribute).hex() == records[name].residual.hex()

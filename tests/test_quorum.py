@@ -172,12 +172,29 @@ class TestBuildQuorum:
             build_quorum(cfg)
         assert info.value.min_eigenvalue < 1e-12
 
+    @pytest.mark.parametrize("value", [0.0, math.nan])
+    def test_zero_or_nan_gram_eigenvalue_singular(self, monkeypatch, value):
+        # kappa(G) is then inf or NaN: both fail the check, with no numpy warning
+        original = np.linalg.svd
+
+        def svd(a, compute_uv=True):
+            sigma = original(a, compute_uv=False)
+            sigma[0, -1] = value
+            return sigma
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularQuorumError, match="not positive definite") as info:
+                build_quorum(default_config(Spin(2)))
+        assert not info.value.min_eigenvalue > 0.0
+
     def test_unnormalized_states_fail_projector_check(self, monkeypatch):
         # |psi|^2 = 1 + 2e-11: Tr Q and Q^2 - Q are off by that much
         original = quorum_module.coherent_amplitudes
         monkeypatch.setattr(quorum_module, "coherent_amplitudes",
                             lambda *args: original(*args) * (1.0 + 1e-11))
-        with pytest.raises(InvariantViolationError, match="projector self-check failed"):
+        with pytest.raises(InvariantViolationError, match="projector norm deviation"):
             build_quorum(default_config(Spin(2)))
 
     def test_non_finite_states_fail_projector_check(self, monkeypatch):
@@ -190,7 +207,7 @@ class TestBuildQuorum:
             return psi
 
         monkeypatch.setattr(quorum_module, "coherent_amplitudes", broken)
-        with pytest.raises(InvariantViolationError, match="projector self-check failed"):
+        with pytest.raises(InvariantViolationError, match="projector norm deviation"):
             build_quorum(default_config(Spin(2)))
 
     def test_faulty_scatter_fails_duality_check(self, monkeypatch):
@@ -305,6 +322,14 @@ class TestDocumentRoundTrip:
         data = json.loads(quorum_to_document(quorum_for(1)))
         data["condition_number"] = 123456.0
         with pytest.raises(ValueError):
+            quorum_from_document(json.dumps(data))
+
+    def test_non_finite_directions_rejected(self, quorum_for):
+        # NaN fails "not deviation <= 1e-9", where "deviation > 1e-9" passed it
+        import json
+        data = json.loads(quorum_to_document(quorum_for(2)))
+        data["directions"] = [[math.nan, math.nan] for _ in data["directions"]]
+        with pytest.raises(ValueError, match="recorded directions do not match"):
             quorum_from_document(json.dumps(data))
 
     @pytest.mark.parametrize("two_s, value", [(2, 2.9), (2, "2"), (1, True)])
