@@ -18,6 +18,7 @@ form from that of H, is certified against M at build time, and carries all
 exact propagation.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -115,7 +116,8 @@ class DrivenGenerator:
     ``propagate_grid`` never assembles M(t): each rk4 stage applies the
     stacked [M_static; M_drive] to the stage vector once, and the weights
     1 and f(t) enter only through the coefficient rows that combine those
-    products (see ``_rk4``).
+    products (see ``_rk4``).  ``envelope`` is called on arrays of stage
+    times, once per block of rk4 steps.
     """
 
     static: Generator
@@ -327,63 +329,127 @@ _RK4_TABLEAU = np.array([
 # k1..k4 are taken at the start, the midpoint (twice) and the end of a step:
 # stage times 2j, 2j + 1 and 2j + 2 of step j in an interval.
 _RK4_STAGE_TIME = np.array([0, 1, 1, 2])
+# Steps whose coefficient rows are built at once: 4 (1 + 4B) doubles a
+# step, about 1.2 MB for a drive (B = 2), whatever the grid's length.
+_RK4_BLOCK_STEPS = 4096
 
 
-def _rk4(blocks, weights, p0, times, counts):
+def _rk4_blocks(counts):
+    """(first, stop) ranges of whole grid intervals of at most _RK4_BLOCK_STEPS steps.
+
+    An interval of more steps than that is a block of its own.
+    """
+    first, steps = 0, 0
+    for i, count in enumerate(counts.tolist()):
+        if steps and steps + count > _RK4_BLOCK_STEPS:
+            yield first, i
+            first, steps = i, 0
+        steps += count
+    if steps:
+        yield first, len(counts)
+
+
+def _rk4_schedule(weights, starts, gaps, counts):
+    """Coefficient rows of every rk4 step of a block of grid intervals.
+
+    Interval i starts at ``starts[i]`` and holds ``counts[i]`` steps of
+    h = gaps[i] / counts[i].  Its ticks accumulate t += h from the start,
+    one cumulative sum along a row padded to the longest interval, and its
+    distinct stage times are the ticks and the midpoints t + h/2,
+    1 + 2 counts[i] of them in time order.  ``weights`` is called once, on
+    the distinct stage times of all intervals in turn.
+
+    Returns (4, steps, 1 + 4B): the rows to x2, x3, x4 and to the step
+    result of every step, the steps in time order (see ``_rk4``).
+    """
+    h = gaps / counts
+    width = int(counts.max())
+    ticks = np.empty((counts.size, width + 1))
+    ticks[:, 0] = starts
+    ticks[:, 1:] = h[:, None]
+    ticks = np.cumsum(ticks, axis=1)
+    stage_times = np.empty((counts.size, 2 * width + 1))
+    stage_times[:, 0::2] = ticks
+    stage_times[:, 1::2] = ticks[:, :-1] + (h / 2.0)[:, None]
+    distinct = np.arange(2 * width + 1) < (2 * counts + 1)[:, None]
+    stage_weights = weights(stage_times[distinct])
+    # Step j of interval i is step k of the block; its first stage time is
+    # distinct stage time 2k + i, since each earlier interval adds one end tick.
+    steps = int(counts.sum())
+    first = 2 * np.arange(steps) + np.repeat(np.arange(counts.size), counts)
+    # (steps, 4, B): the weights of k1..k4 of every step
+    stage_weights = stage_weights[first[:, None] + _RK4_STAGE_TIME]
+    rows = np.empty((4, steps, 1 + 4 * stage_weights.shape[2]))
+    rows[:, :, 0] = 1.0
+    # (4, steps, 4, B), a view of the rows: splitting their last axis copies nothing
+    coefficients = rows[:, :, 1:].reshape(4, steps, 4, -1)
+    step_h = np.repeat(h, counts)[:, None, None]
+    for kind, tableau in zip(coefficients, _RK4_TABLEAU):
+        np.multiply(step_h * tableau[:, None], stage_weights, out=kind)
+    return rows
+
+
+def _rk4_steps(weights, times, counts):
+    """The rows (to x2, to x3, to x4, to the step result) of every rk4 step, in time order.
+
+    The rows are built for one block of intervals at a time (``_rk4_blocks``).
+    """
+    gaps = np.diff(times)
+    for first, stop in _rk4_blocks(counts):
+        yield from zip(*_rk4_schedule(weights, times[first:stop], gaps[first:stop],
+                                      counts[first:stop]))
+
+
+def _rk4(stack, weights, p0, times, counts):
     """Fixed-step rk4 rows for dP/dt = M(t) P with M(t) = sum_b w_b(t) M_b.
 
-    ``blocks`` stacks the B matrices M_b on top of each other, (B N, N), and
+    ``stack`` holds the B matrices M_b on top of each other, (B N, N), and
     ``weights(ts)`` returns the coefficients w_b at each stage time in
     ``ts``, (len(ts), B).  Stage times are t, t + h/2 and t + h with t
     accumulated step by step from each grid point,
-    h = (grid gap) / counts[interval]; the weights are evaluated once per
-    distinct stage time of an interval, in one call.
+    h = (grid gap) / counts[interval].
 
     M(t) is linear in the weights, so k_s = sum_b w_b(t_s) (M_b x_s), and
     every stage input x_s = P + a_s h k_{s-1} and the step result
     P + h/6 (k1 + 2 k2 + 2 k3 + k4) is a fixed linear combination of P and
-    the products M_b x_s.  These sit in one buffer z of 1 + 4B rows: row 0
-    is P, and stage s writes its B products into rows 1 + (s-1)B .. sB in
-    place.  Each combination is then one product of a coefficient row with
-    z, and a step is 4 products of the stack, 4 row products and one copy.
-    The coefficient rows of an interval are built in one pass from h and
-    the interval's weights.
+    the products M_b x_s.  These sit in a stage buffer z of 1 + 4B rows:
+    row 0 is P, and stage s writes its B products into rows
+    1 + (s-1)B .. sB in place.  Each combination is then one product of a
+    coefficient row with z.  There are two such buffers, and a step writes
+    its result into row 0 of the other one, so a step is 4 products of the
+    stack and 4 row products, and nothing is copied.
+
+    The coefficient rows are built by ``_rk4_schedule`` for a block of
+    whole intervals at a time, at most ``_RK4_BLOCK_STEPS`` steps unless
+    one interval holds more, so their memory does not grow with the grid;
+    the weights are evaluated once per block.
     """
-    nblocks = blocks.shape[0] // p0.size
+    terms = stack.shape[0] // p0.size
     # zeros, not empty: the first step's rows multiply the unwritten stage
     # rows by 0, and 0 * NaN would be NaN
-    z = np.zeros((1 + 4 * nblocks, p0.size))
-    z[0] = p0
-    p = z[0]
-    products = [z[1 + s * nblocks:1 + (s + 1) * nblocks].reshape(-1) for s in range(4)]
+    z = np.zeros((2, 1 + 4 * terms, p0.size))
+    z[0, 0] = p0
+    # (buffer, P, k1, k2, k3, k4) of each buffer, the k_s as flat (B N,) views
+    now, after = [(buffer, buffer[0],
+                   *(buffer[1 + s * terms:1 + (s + 1) * terms].reshape(-1) for s in range(4)))
+                  for buffer in z]
     x = np.empty(p0.size)
     values = np.empty((times.size, p0.size))
     values[0] = p0
-    gaps = np.diff(times)
-    for i, (gap, count) in enumerate(zip(gaps, counts), start=1):
-        h = gap / count
-        ticks = np.full(count + 1, h)
-        ticks[0] = times[i - 1]
-        ticks = np.cumsum(ticks)  # t += h, one step at a time
-        stage_times = np.empty(2 * count + 1)
-        stage_times[0::2] = ticks
-        stage_times[1::2] = ticks[:-1] + h / 2.0
-        # (count, 4, B): the weights of k1..k4 of every step
-        stage_weights = weights(stage_times)[2 * np.arange(count)[:, None] + _RK4_STAGE_TIME]
-        rows = np.ones((count, 4, z.shape[0]))
-        rows[:, :, 1:] = (h * _RK4_TABLEAU[:, :, None] * stage_weights[:, None]).reshape(
-            count, 4, -1)
-        for to_x2, to_x3, to_x4, to_p in rows:
-            np.dot(blocks, p, out=products[0])
-            np.dot(to_x2, z, out=x)
-            np.dot(blocks, x, out=products[1])
-            np.dot(to_x3, z, out=x)
-            np.dot(blocks, x, out=products[2])
-            np.dot(to_x4, z, out=x)
-            np.dot(blocks, x, out=products[3])
-            np.dot(to_p, z, out=x)
-            p[:] = x
-        values[i] = p
+    steps = _rk4_steps(weights, times, counts)
+    for i, count in enumerate(counts.tolist(), start=1):
+        for to_x2, to_x3, to_x4, to_p in itertools.islice(steps, count):
+            z_now, p, k1, k2, k3, k4 = now
+            np.dot(stack, p, out=k1)
+            np.dot(to_x2, z_now, out=x)
+            np.dot(stack, x, out=k2)
+            np.dot(to_x3, z_now, out=x)
+            np.dot(stack, x, out=k3)
+            np.dot(to_x4, z_now, out=x)
+            np.dot(stack, x, out=k4)
+            np.dot(to_p, z_now, out=after[1])
+            now, after = after, now
+        values[i] = now[1]
     return values
 
 
@@ -407,8 +473,10 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
         or of the stacked [M_static; M_drive], with the stage vector, and
         every stage input and step result is one coefficient row, built
         from h and f at the stage times, applied to P and those products.
-        f is evaluated once per distinct stage time and M(t) is never
-        formed.  Before the first step, h * omega must lie within rk4's
+        The rows are built for a block of whole grid intervals at a time,
+        so their memory does not grow with the grid, and f is evaluated
+        once per block, on the array of its distinct stage times; M(t) is
+        never formed.  Before the first step, h * omega must lie within rk4's
         stability limit 2 sqrt(2) on the imaginary axis, omega bounding the
         Bohr frequencies: the spread of H's eigenvalues, or
         spread(H0) + max|f| spread(H1) for a drive (Weyl's inequality).
@@ -447,23 +515,23 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
     else:
         if driven:
             envelope = gen.envelope
-            blocks = np.vstack([gen.static.matrix, gen.drive.matrix])
+            stack = np.vstack([gen.static.matrix, gen.drive.matrix])
 
             def weights(ts):
                 w = np.ones((ts.size, 2))
-                w[:, 1] = [envelope(t) for t in ts.tolist()]
+                w[:, 1] = envelope(ts)
                 return w
 
             omega = (float(np.ptp(gen.static.h_eigenvalues))
                      + envelope.max_abs * float(np.ptp(gen.drive.h_eigenvalues)))
         else:
-            blocks, weights = gen.matrix, lambda ts: np.ones((ts.size, 1))
+            stack, weights = gen.matrix, lambda ts: np.ones((ts.size, 1))
             omega = float(np.ptp(gen.h_eigenvalues))
         counts = _rk4_stable_step_counts(np.diff(times), substeps, omega)
         # Rows that overflow all the same are reported once, below, rather
         # than as numpy warnings and NaN rows.
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _rk4(blocks, weights, p0.values, times, counts)
+            values = _rk4(stack, weights, p0.values, times, counts)
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
             raise InvariantViolationError(

@@ -11,7 +11,6 @@ Conventions used package-wide:
   (mu = s - k) is sqrt(C(2s, k)) cos^(2s-k)(theta/2) sin^k(theta/2) e^(i k phi).
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -216,7 +215,11 @@ def coherent_state(spin, direction):
 
 @dataclass(frozen=True)
 class Envelope:
-    """Scalar drive profile f(t).
+    """Drive profile f(t), evaluated on a scalar time or on an array of times.
+
+    A scalar t gives a float; an array gives an array of its shape, each
+    entry bit for bit the float of a scalar call, since both go through the
+    same numpy expression.
 
     Shapes:
       * ``constant``  : f(t) = amplitude
@@ -251,11 +254,15 @@ class Envelope:
         return abs(self.amplitude)
 
     def __call__(self, t):
+        t = np.asarray(t, dtype=float)
         if self.shape == "constant":
-            return self.amplitude
-        if self.shape == "cosine":
-            return self.amplitude * math.cos(self.frequency * float(t) + self.phase)
-        return self.values[bisect.bisect_right(self.breakpoints, float(t))]
+            f = np.full(t.shape, self.amplitude, dtype=float)
+        elif self.shape == "cosine":
+            f = self.amplitude * np.cos(self.frequency * t + self.phase)
+        else:
+            # side="right": a time on a breakpoint takes the value after it
+            f = np.asarray(self.values)[np.searchsorted(self.breakpoints, t, side="right")]
+        return float(f) if t.ndim == 0 else f
 
 
 @dataclass(frozen=True)

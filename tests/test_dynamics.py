@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -432,18 +433,74 @@ class TestPropagateGrid:
 
     def test_driven_rk4_never_forms_the_matrix(self, quorum_for, monkeypatch):
         dgen, p0 = driven_setup(quorum_for, DRIVE_ENVELOPES["cosine"])
-        calls = []
+        received = []
         original = Envelope.__call__
 
-        def counted(self, t):
-            calls.append(t)
+        def recorded(self, t):
+            received.append(np.array(t, dtype=float))
             return original(self, t)
 
-        monkeypatch.setattr(Envelope, "__call__", counted)
-        propagate_grid(dgen, p0, np.linspace(0.0, 1.0, 11), method="rk4", substeps=3)
-        # one value per distinct stage time: the start of each of the 10
-        # intervals, then the midpoint and the end of each of its 3 steps
-        assert len(calls) == 10 * (1 + 2 * 3)
+        monkeypatch.setattr(Envelope, "__call__", recorded)
+        times = np.linspace(0.0, 1.0, 11)
+        propagate_grid(dgen, p0, times, method="rk4", substeps=3)
+        # f is evaluated once per distinct stage time, in time order: the
+        # start of each of the 10 intervals, then the midpoint and the end of
+        # each of its 3 steps, the ticks accumulated t += h from the start
+        expected = []
+        for start, end in zip(times[:-1].tolist(), times[1:].tolist()):
+            h = (end - start) / 3
+            t = start
+            expected.append(t)
+            for _ in range(3):
+                expected.append(t + h / 2.0)
+                t += h
+                expected.append(t)
+        stage_times = np.concatenate(received).tolist()
+        assert len(stage_times) == 10 * (1 + 2 * 3)
+        assert [t.hex() for t in stage_times] == [t.hex() for t in expected]
+
+    @pytest.mark.parametrize("run", ["exact-expm", "rk4", "driven-rk4"])
+    def test_one_point_grid_returns_p0(self, quorum_for, run):
+        if run == "driven-rk4":
+            gen, p0 = driven_setup(quorum_for, DRIVE_ENVELOPES["cosine"])
+        else:
+            q = quorum_for(2)
+            rng = np.random.default_rng(58)
+            gen = build_generator(random_hermitian(q.dim, rng), q)
+            p0 = rho_to_pvec(random_density_matrix(q.dim, rng), q)
+        method = "exact-expm" if run == "exact-expm" else "rk4"
+        traj = propagate_grid(gen, p0, [0.7], method=method)
+        assert traj.values.shape == (1, p0.values.size)
+        assert traj.values[0].tobytes() == p0.values.tobytes()
+
+    def test_rk4_memory_bounded_by_block(self, quorum_for):
+        # The rk4 coefficient rows are built a block of steps at a time, so
+        # the memory rk4 works in must not grow with the grid.  The grid's
+        # own arrays (gaps, step counts) may add a few words per point; rows
+        # for the whole grid would add 4 (1 + 4B) = 36 words per step, 360 a
+        # point at 10 substeps.
+        q = quorum_for(1)
+        spec = HamiltonianSpec(linear=(0.0, 0.0, 1.0),
+                               drive=Drive(HamiltonianSpec(linear=(0.3, 0.0, 0.0)),
+                                           Envelope(shape="cosine", amplitude=0.5,
+                                                    frequency=2.0)))
+        dgen = build_driven_generator(spec, q)
+        p0 = rho_to_pvec(maximally_mixed(2), q)
+
+        def working_memory(points):
+            times = np.linspace(0.0, 0.01 * (points - 1), points)
+            tracemalloc.start()
+            try:
+                traj = propagate_grid(dgen, p0, times, method="rk4", substeps=10)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            returned = (traj.times, traj.values, traj.e_dot_p, traj.p_min, traj.p_max,
+                        traj.p_sum)
+            return peak - sum(a.nbytes for a in returned)
+
+        short, long = working_memory(2001), working_memory(20001)
+        assert long <= short + 8 * 8 * (20001 - 2001), (short, long)
 
     def test_rk4_convergence_order(self, quorum_for):
         q, gen, plus_x = larmor_setup(quorum_for)

@@ -1,3 +1,4 @@
+import bisect
 import math
 import warnings
 
@@ -270,6 +271,43 @@ class TestHamiltonian:
         assert env(0.5) == 0.0
         assert env(1.5) == 5.0
         assert env(3.0) == 1.0
+
+
+@st.composite
+def envelopes_and_times(draw):
+    """An envelope of any shape and times, on, before and after its breakpoints."""
+    numbers = st.floats(-1e3, 1e3)
+    shape = draw(st.sampled_from(["constant", "cosine", "piecewise"]))
+    if shape == "constant":
+        envelope = Envelope(shape="constant", amplitude=draw(numbers))
+    elif shape == "cosine":
+        envelope = Envelope(shape="cosine", amplitude=draw(numbers), frequency=draw(numbers),
+                            phase=draw(numbers))
+    else:
+        breakpoints = sorted(set(draw(st.lists(numbers, max_size=5))))
+        envelope = Envelope(shape="piecewise", breakpoints=breakpoints,
+                            values=draw(st.lists(numbers, min_size=len(breakpoints) + 1,
+                                                 max_size=len(breakpoints) + 1)))
+    times = draw(st.lists(numbers, max_size=20))
+    if envelope.breakpoints:
+        edges = envelope.breakpoints
+        times += list(edges) + [edges[0] - 1.0, edges[-1] + 1.0]
+    return envelope, draw(st.permutations(times))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=envelopes_and_times())
+def test_envelope_on_arrays_matches_scalar_calls(case):
+    envelope, times = case
+    scalars = [envelope(t) for t in times]
+    assert all(type(f) is float for f in scalars)
+    values = envelope(np.array(times))
+    assert values.shape == (len(times),)
+    assert [f.hex() for f in values.tolist()] == [f.hex() for f in scalars]
+    if envelope.shape == "piecewise":
+        # a time on a breakpoint takes the value after it
+        assert scalars == [envelope.values[bisect.bisect_right(envelope.breakpoints, t)]
+                           for t in times]
 
 
 class TestDensityEvolution:
