@@ -1,12 +1,14 @@
 """Command-line front end: quorum reports, trajectory runs, reconstruction, spectra.
 
-Every subcommand is one run of ``_run``: it loads the config, resolves the
-output paths, parses the spin, builds the quorum and forms the preamble
-``config_hash, two_s, n_points`` that opens every table.  The subcommand
-(``cmd_*``) then parses its own fields and returns its meta tail, its
-columns and, for ``evolve``, its summary body; ``_run`` writes the table,
-then the summary.  ``_quorum_report`` is the quorum's self-checks in both the
-``quorum`` table and the ``evolve`` summary.
+Usage: ``evspin {quorum,evolve,reconstruct,spectrum} --config PATH
+[--out PATH] [--format csv|json-lines] [--oracle]``, ``--oracle`` for
+``evolve`` only.  Every command is one run of ``_run``: it loads the config,
+resolves the output paths, parses the spin, builds the quorum and forms the
+preamble ``config_hash, two_s, n_points`` that opens every table.  The
+command's ``cmd_*`` (from ``_COMMANDS``) then parses its own fields and
+returns its meta tail, its columns and, for ``evolve``, its summary body;
+``_run`` writes the table, then the summary.  ``_quorum_report`` is the
+quorum's self-checks in both the ``quorum`` table and the ``evolve`` summary.
 
 The CLI does no arithmetic of its own; every emitted number comes from a
 library call and is formatted at full double precision, so identical
@@ -102,6 +104,14 @@ def _number(value, field):
     return number
 
 
+def _integer(value, field, minimum=None):
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"field '{field}' must be an integer{bound}")
+    return value
+
+
 def _number_list(value, field, length=None):
     if not isinstance(value, list):
         raise ConfigError(f"field '{field}' must be a list of numbers")
@@ -113,13 +123,17 @@ def _number_list(value, field, length=None):
     return out
 
 
+def _number_matrix(value, field, dim):
+    """A dim x dim matrix of finite numbers; row i is named field[i], entry (i, j) field[i][j]."""
+    if not isinstance(value, list) or len(value) != dim:
+        raise ConfigError(f"field '{field}' must be a {dim}x{dim} list of lists of numbers")
+    return np.array([_number_list(row, f"{field}[{i}]", dim) for i, row in enumerate(value)])
+
+
 def _parse_spin(cfg):
     if "two_s" not in cfg:
         raise ConfigError("missing field 'two_s'")
-    two_s = cfg["two_s"]
-    if isinstance(two_s, bool) or not isinstance(two_s, int) or two_s < 0:
-        raise ConfigError("field 'two_s' must be a non-negative integer")
-    return Spin(two_s)
+    return Spin(_integer(cfg["two_s"], "two_s", minimum=0))
 
 
 def _parse_quorum_config(cfg, spin):
@@ -164,14 +178,9 @@ def _parse_hamiltonian(cfg):
         raise ConfigError("field 'hamiltonian' must be an object")
 
     def static_part(b, prefix):
-        linear = _number_list(b.get("linear", [0.0, 0.0, 0.0]), f"{prefix}.linear", 3)
         quadratic = b.get("quadratic")
-        if quadratic is not None:
-            if not isinstance(quadratic, list) or len(quadratic) != 3:
-                raise ConfigError(f"field '{prefix}.quadratic' must be a 3x3 matrix")
-            quadratic = [_number_list(row, f"{prefix}.quadratic[{i}]", 3)
-                         for i, row in enumerate(quadratic)]
-        return linear, quadratic
+        return (_number_list(b.get("linear", [0.0, 0.0, 0.0]), f"{prefix}.linear", 3),
+                None if quadratic is None else _number_matrix(quadratic, f"{prefix}.quadratic", 3))
 
     linear, quadratic = static_part(block, "hamiltonian")
     drive = None
@@ -190,12 +199,6 @@ def _parse_hamiltonian(cfg):
 
 _STATE_VARIANTS = ("coherent", "basis", "maximally_mixed", "density_matrix",
                    "pvector", "random_pure")
-
-
-def _number_matrix(value, field, dim):
-    if not isinstance(value, list) or len(value) != dim:
-        raise ConfigError(f"field '{field}' must be a {dim}x{dim} list of lists of numbers")
-    return np.array([_number_list(row, field, dim) for row in value])
 
 
 def _parse_initial_state(cfg, spin, quorum):
@@ -249,9 +252,7 @@ def _parse_initial_state(cfg, spin, quorum):
     else:  # random_pure
         if not isinstance(spec, dict) or "seed" not in spec:
             raise ConfigError("initial_state.random_pure requires an explicit 'seed'")
-        seed = spec["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError("initial_state.random_pure.seed must be an integer")
+        seed = _integer(spec["seed"], "initial_state.random_pure.seed")
         rho0 = pure_state_density(random_pure_state(spin.dim, np.random.default_rng(seed)))
 
     return rho_to_pvec(rho0, quorum), rho0
@@ -265,9 +266,7 @@ def _parse_times(cfg):
     if "t_end" not in block:
         raise ConfigError("missing field 'time_grid.t_end'")
     t_end = _number(block["t_end"], "time_grid.t_end")
-    steps = block.get("steps")
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-        raise ConfigError("field 'time_grid.steps' must be an integer >= 1")
+    steps = _integer(block.get("steps"), "time_grid.steps", minimum=1)
     if not t_end > t_start:
         raise ConfigError("time_grid requires t_end > t_start")
     if not math.isfinite(t_end - t_start):
@@ -279,10 +278,7 @@ def _parse_method(cfg):
     method = cfg.get("method", "exact-expm")
     if method not in ("exact-expm", "rk4"):
         raise ConfigError("field 'method' must be 'exact-expm' or 'rk4'")
-    substeps = cfg.get("substeps", 10)
-    if isinstance(substeps, bool) or not isinstance(substeps, int) or substeps < 1:
-        raise ConfigError("field 'substeps' must be an integer >= 1")
-    return method, substeps
+    return method, _integer(cfg.get("substeps", 10), "substeps", minimum=1)
 
 
 def _parse_output(cfg, args):
@@ -478,11 +474,17 @@ def cmd_evolve(args, cfg, spin, quorum):
     return [], columns, summary
 
 
+_COMMANDS = {"quorum": cmd_quorum, "evolve": cmd_evolve,
+             "reconstruct": cmd_reconstruct, "spectrum": cmd_spectrum}
+
+
 def _run(args):
-    """The pipeline of the module docstring; ``args.func`` is the ``cmd_*``.
+    """The pipeline of the module docstring; ``args.command`` names the ``cmd_*``.
 
     The summary body, None except for ``evolve``, gets the preamble and the inputs.
     """
+    if args.oracle and args.command != "evolve":
+        raise ConfigError(f"--oracle applies to evolve only, not {args.command}")
     cfg = _load_config(args.config)
     fmt, table_path, summary_path = _parse_output(cfg, args)
     spin = _parse_spin(cfg)
@@ -490,7 +492,7 @@ def _run(args):
     preamble = [("config_hash", _config_hash(cfg)),
                 ("two_s", spin.two_s),
                 ("n_points", quorum.size)]
-    tail, columns, summary = args.func(args, cfg, spin, quorum)
+    tail, columns, summary = _COMMANDS[args.command](args, cfg, spin, quorum)
     _write_table(table_path, fmt, preamble + tail, columns)
     if summary is not None:
         summary = {**dict(preamble), "inputs": cfg, **summary}
@@ -499,28 +501,22 @@ def _run(args):
 
 
 def _build_parser():
-    # The options every subcommand takes, declared once and shared.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="path to the JSON run configuration")
-    common.add_argument("--out", default=None, help="output path (default: stdout or config 'output')")
-    common.add_argument("--format", choices=("csv", "json-lines"), default=None,
-                        help="output format (default: csv or config 'output.format')")
     parser = argparse.ArgumentParser(
         prog="evspin",
-        description="Spin-s dynamics on coherent-state probabilities: build "
-                    "direction quorums, evolve probability vectors, reconstruct "
-                    "states, inspect spectra.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, helptext in (
-            ("quorum", cmd_quorum, "report directions, Gram conditioning, duality residuals"),
-            ("evolve", cmd_evolve, "propagate a probability vector over a time grid"),
-            ("reconstruct", cmd_reconstruct, "convert between states and probability vectors"),
-            ("spectrum", cmd_spectrum, "print eigenvalues of the Hamiltonian and the flow generator")):
-        p = sub.add_parser(name, help=helptext, parents=[common])
-        if name == "evolve":
-            p.add_argument("--oracle", action="store_true",
-                           help="add a column comparing against direct density-matrix propagation")
-        p.set_defaults(func=func)
+        description="Spin-s dynamics on coherent-state probabilities.  quorum: directions, "
+                    "Gram conditioning, duality residuals.  evolve: propagate a probability "
+                    "vector over a time grid.  reconstruct: convert between states and "
+                    "probability vectors.  spectrum: eigenvalues of H and the flow generator.")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, metavar="PATH",
+                        help="path to the JSON run configuration")
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help="output path (default: stdout or config 'output')")
+    parser.add_argument("--format", choices=("csv", "json-lines"), default=None,
+                        help="output format (default: csv or config 'output.format')")
+    parser.add_argument("--oracle", action="store_true",
+                        help="evolve only: add a column comparing against direct "
+                             "density-matrix propagation")
     return parser
 
 

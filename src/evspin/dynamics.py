@@ -349,7 +349,7 @@ def _rk4_blocks(counts):
         yield first, len(counts)
 
 
-def _rk4_schedule(weights, starts, gaps, counts):
+def _rk4_schedule(weights, starts, gaps, counts, buffer):
     """Coefficient rows of every rk4 step of a block of grid intervals.
 
     Interval i starts at ``starts[i]`` and holds ``counts[i]`` steps of
@@ -360,7 +360,8 @@ def _rk4_schedule(weights, starts, gaps, counts):
     the distinct stage times of all intervals in turn.
 
     Returns (4, steps, 1 + 4B): the rows to x2, x3, x4 and to the step
-    result of every step, the steps in time order (see ``_rk4``).
+    result of every step, the steps in time order (see ``_rk4``), written
+    into the front of the flat array ``buffer``.
     """
     h = gaps / counts
     width = int(counts.max())
@@ -379,7 +380,7 @@ def _rk4_schedule(weights, starts, gaps, counts):
     first = 2 * np.arange(steps) + np.repeat(np.arange(counts.size), counts)
     # (steps, 4, B): the weights of k1..k4 of every step
     stage_weights = stage_weights[first[:, None] + _RK4_STAGE_TIME]
-    rows = np.empty((4, steps, 1 + 4 * stage_weights.shape[2]))
+    rows = buffer[:4 * steps * (1 + 4 * stage_weights.shape[2])].reshape(4, steps, -1)
     rows[:, :, 0] = 1.0
     # (4, steps, 4, B), a view of the rows: splitting their last axis copies nothing
     coefficients = rows[:, :, 1:].reshape(4, steps, 4, -1)
@@ -389,15 +390,20 @@ def _rk4_schedule(weights, starts, gaps, counts):
     return rows
 
 
-def _rk4_steps(weights, times, counts):
+def _rk4_steps(weights, times, counts, width):
     """The rows (to x2, to x3, to x4, to the step result) of every rk4 step, in time order.
 
-    The rows are built for one block of intervals at a time (``_rk4_blocks``).
+    The rows, of ``width`` = 1 + 4B coefficients, are built for one block of
+    intervals at a time (``_rk4_blocks``), each block into the same buffer,
+    sized for the largest block: the rows of one block are live at a time.
     """
     gaps = np.diff(times)
-    for first, stop in _rk4_blocks(counts):
+    blocks = list(_rk4_blocks(counts))
+    buffer = np.empty(4 * width * max((int(counts[first:stop].sum()) for first, stop in blocks),
+                                      default=0))
+    for first, stop in blocks:
         yield from zip(*_rk4_schedule(weights, times[first:stop], gaps[first:stop],
-                                      counts[first:stop]))
+                                      counts[first:stop], buffer))
 
 
 def _rk4(stack, weights, p0, times, counts):
@@ -420,9 +426,11 @@ def _rk4(stack, weights, p0, times, counts):
     stack and 4 row products, and nothing is copied.
 
     The coefficient rows are built by ``_rk4_schedule`` for a block of
-    whole intervals at a time, at most ``_RK4_BLOCK_STEPS`` steps unless
-    one interval holds more, so their memory does not grow with the grid;
-    the weights are evaluated once per block.
+    whole intervals at a time, at most ``_RK4_BLOCK_STEPS`` steps, into one
+    reused buffer; the weights are evaluated once per block.  Their memory
+    does not grow with the number of grid points, but an interval of more
+    steps than ``_RK4_BLOCK_STEPS`` is a block of its own, so it grows with
+    the longest interval of a ragged grid.
     """
     terms = stack.shape[0] // p0.size
     # zeros, not empty: the first step's rows multiply the unwritten stage
@@ -436,7 +444,7 @@ def _rk4(stack, weights, p0, times, counts):
     x = np.empty(p0.size)
     values = np.empty((times.size, p0.size))
     values[0] = p0
-    steps = _rk4_steps(weights, times, counts)
+    steps = _rk4_steps(weights, times, counts, z.shape[1])
     for i, count in enumerate(counts.tolist(), start=1):
         for to_x2, to_x3, to_x4, to_p in itertools.islice(steps, count):
             z_now, p, k1, k2, k3, k4 = now
@@ -474,11 +482,13 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
         every stage input and step result is one coefficient row, built
         from h and f at the stage times, applied to P and those products.
         The rows are built for a block of whole grid intervals at a time,
-        so their memory does not grow with the grid, and f is evaluated
-        once per block, on the array of its distinct stage times; M(t) is
-        never formed.  Before the first step, h * omega must lie within rk4's
-        stability limit 2 sqrt(2) on the imaginary axis, omega bounding the
-        Bohr frequencies: the spread of H's eigenvalues, or
+        so their memory does not grow with the number of grid points (it
+        does grow with an interval of more than 4 096 steps, which is a
+        block of its own), and f is evaluated once per block, on the array
+        of its distinct stage times; M(t) is never formed.  Before the
+        first step, h * omega must lie within rk4's stability limit
+        2 sqrt(2) on the imaginary axis, omega bounding the Bohr
+        frequencies: the spread of H's eigenvalues, or
         spread(H0) + max|f| spread(H1) for a drive (Weyl's inequality).
         Otherwise, and for any non-finite rk4 row, it raises
         ``InvariantViolationError``.

@@ -14,6 +14,11 @@ from evspin import (HamiltonianSpec, Spin, build_generator, build_hamiltonian, b
                     default_config, spin_operators)
 from evspin.cli import _write_table, main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+# The environment of a fresh interpreter that imports evspin from this checkout.
+SRC_ENV = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
 
 def write_config(tmp_path, name="config.json", **overrides):
     cfg = {
@@ -434,13 +439,16 @@ class TestConfigErrors:
         ({"time_grid": {"t_start": 0.0, "t_end": math.nan, "steps": 20}}, "time_grid.t_end"),
         ({"initial_state": {"density_matrix": {"real": [[0.5, 0.0], [0.0, 0.5]],
                                                "imag": [[0.0, -math.inf], [math.inf, 0.0]]}}},
-         "density_matrix.imag[1]"),
+         "density_matrix.imag[0][1]"),
+        ({"hamiltonian": {"linear": [0.0, 0.0, 1.0],
+                          "quadratic": [[0.0] * 3, [0.0] * 3, [0.0, 0.0, math.nan]]}},
+         "hamiltonian.quadratic[2][2]"),
         # json.load keeps a long integer literal as an int, too large for a float
         ({"hamiltonian": {"linear": [0.0, 0.0, 10**400]}}, "hamiltonian.linear[2]"),
         # and reads a float literal beyond the largest double as inf
         ({"time_grid": {"t_start": 0.0, "t_end": "1e400", "steps": 20}}, "time_grid.t_end"),
-    ], ids=["drive-amplitude", "linear", "t_end", "density-matrix", "overflow-int",
-            "overflow-float"])
+    ], ids=["drive-amplitude", "linear", "t_end", "density-matrix", "quadratic",
+            "overflow-int", "overflow-float"])
     def test_non_finite_number_rejected(self, tmp_path, capsys, overrides, field):
         path, _ = write_config(tmp_path, **overrides)
         path.write_text(path.read_text().replace('"1e400"', "1e400"))
@@ -452,6 +460,77 @@ class TestConfigErrors:
         assert captured.out == ""
         assert captured.err == f"config error: field '{field}' must be a finite number\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("quadratic, message", [
+        ([[0.0] * 3, [0.0] * 3], "field 'hamiltonian.quadratic' must be a 3x3 list of lists "
+                                 "of numbers"),
+        ([[0.0] * 3, [0.0] * 2, [0.0] * 3], "field 'hamiltonian.quadratic[1]' must have "
+                                            "length 3, got 2"),
+        ([[0.0] * 3, [0.0] * 3, 1.0], "field 'hamiltonian.quadratic[2]' must be a list of "
+                                      "numbers"),
+    ], ids=["two-rows", "short-row", "row-not-a-list"])
+    def test_quadratic_not_a_matrix(self, tmp_path, capsys, quadratic, message):
+        path, _ = write_config(tmp_path, hamiltonian={"linear": [0.0, 0.0, 1.0],
+                                                      "quadratic": quadratic})
+        assert main(["spectrum", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"two_s": True}, "field 'two_s' must be an integer >= 0"),
+        ({"two_s": -1}, "field 'two_s' must be an integer >= 0"),
+        ({"two_s": 1.0}, "field 'two_s' must be an integer >= 0"),
+        ({"time_grid": {"t_end": 1.0, "steps": 0}}, "field 'time_grid.steps' must be an "
+                                                    "integer >= 1"),
+        ({"time_grid": {"t_end": 1.0}}, "field 'time_grid.steps' must be an integer >= 1"),
+        ({"method": "rk4", "substeps": False}, "field 'substeps' must be an integer >= 1"),
+        ({"method": "rk4", "substeps": 2.5}, "field 'substeps' must be an integer >= 1"),
+        ({"initial_state": {"random_pure": {"seed": True}}},
+         "field 'initial_state.random_pure.seed' must be an integer"),
+        ({"initial_state": {"random_pure": {"seed": "7"}}},
+         "field 'initial_state.random_pure.seed' must be an integer"),
+    ], ids=["two_s-bool", "two_s-negative", "two_s-float", "steps-zero", "steps-missing",
+            "substeps-bool", "substeps-float", "seed-bool", "seed-string"])
+    def test_integer_field_rejected(self, tmp_path, capsys, overrides, message):
+        path, _ = write_config(tmp_path, **overrides)
+        out = tmp_path / "traj.csv"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+        assert not out.exists()
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("command", ["quorum", "spectrum", "reconstruct"])
+    def test_oracle_only_with_evolve(self, tmp_path, capsys, command):
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "table.csv"
+        assert main([command, "--config", str(path), "--oracle", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert "--oracle" in lines[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    @pytest.mark.parametrize("argv", [[], ["bogus", "--config", "run.json"],
+                                      ["--config", "run.json"]],
+                             ids=["empty", "unknown-command", "no-command"])
+    def test_bad_command_line_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: evspin" in capsys.readouterr().err
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for command in ("quorum", "evolve", "reconstruct", "spectrum", "--oracle"):
+            assert command in out
 
 
 class TestRowFormatting:
@@ -498,7 +577,7 @@ class TestMiscellaneous:
         path, _ = write_config(tmp_path)
         proc = subprocess.run(
             [sys.executable, "-m", "evspin", "quorum", "--config", str(path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=SRC_ENV)
         assert proc.returncode == 0
         assert "# n_points = 4" in proc.stdout
 
@@ -664,8 +743,6 @@ class TestCrossFormat:
                     assert float(row[name]).hex() == value.hex(), name
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
 # Runs in a fresh interpreter where any import of scipy raises.
 BLOCKED_SCIPY_RUN = """
 import json, sys
@@ -678,7 +755,7 @@ print(json.dumps({name: main(argv) for name, argv in json.loads(sys.argv[1]).ite
 class TestNoScipy:
     def run_python(self, *args):
         return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+                              env=SRC_ENV, check=True)
 
     def test_import_loads_no_scipy(self):
         proc = self.run_python("-c", "import sys, evspin.cli; "

@@ -502,6 +502,30 @@ class TestPropagateGrid:
         short, long = working_memory(2001), working_memory(20001)
         assert long <= short + 8 * 8 * (20001 - 2001), (short, long)
 
+    def test_rk4_keeps_one_block_of_rows(self, quorum_for):
+        # 2 001 points at 10 substeps are 20 000 steps, in blocks of 4 090 steps
+        # and less.  Every block's rows go into one buffer, so the working
+        # memory must stay below two blocks of rows, 4 (1 + 4B) doubles a step
+        # for B = 2; rows kept alive from the previous block would exceed it.
+        q = quorum_for(1)
+        spec = HamiltonianSpec(linear=(0.0, 0.0, 1.0),
+                               drive=Drive(HamiltonianSpec(linear=(0.3, 0.0, 0.0)),
+                                           Envelope(shape="cosine", amplitude=0.5,
+                                                    frequency=2.0)))
+        dgen = build_driven_generator(spec, q)
+        p0 = rho_to_pvec(maximally_mixed(2), q)
+        times = np.linspace(0.0, 20.0, 2001)
+        tracemalloc.start()
+        try:
+            traj = propagate_grid(dgen, p0, times, method="rk4", substeps=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (traj.times, traj.values, traj.e_dot_p, traj.p_min,
+                                          traj.p_max, traj.p_sum))
+        one_block = 4 * 4096 * 9 * 8
+        assert peak - returned < 2 * one_block, (peak - returned, one_block)
+
     def test_rk4_convergence_order(self, quorum_for):
         q, gen, plus_x = larmor_setup(quorum_for)
         p0 = rho_to_pvec(plus_x, q)
