@@ -20,6 +20,7 @@ exact propagation.
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -326,84 +327,43 @@ _RK4_TABLEAU = np.array([
     [0.0, 0.0, 1.0, 0.0],
     [1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0],
 ])
-# k1..k4 are taken at the start, the midpoint (twice) and the end of a step:
-# stage times 2j, 2j + 1 and 2j + 2 of step j in an interval.
-_RK4_STAGE_TIME = np.array([0, 1, 1, 2])
+# k1..k4 are taken at the start t, the midpoint t + h/2 (twice) and the end
+# t + h of a step: stage times 0, 1 and 2 of the step.
+_RK4_STAGE_TIME = (0, 1, 1, 2)
 # Steps whose coefficient rows are built at once: 4 (1 + 4B) doubles a
-# step, about 1.2 MB for a drive (B = 2), whatever the grid's length.
+# step, about 1.2 MB for a drive (B = 2), whatever the grid.
 _RK4_BLOCK_STEPS = 4096
-
-
-def _rk4_blocks(counts):
-    """(first, stop) ranges of whole grid intervals of at most _RK4_BLOCK_STEPS steps.
-
-    An interval of more steps than that is a block of its own.
-    """
-    first, steps = 0, 0
-    for i, count in enumerate(counts.tolist()):
-        if steps and steps + count > _RK4_BLOCK_STEPS:
-            yield first, i
-            first, steps = i, 0
-        steps += count
-    if steps:
-        yield first, len(counts)
-
-
-def _rk4_schedule(weights, starts, gaps, counts, buffer):
-    """Coefficient rows of every rk4 step of a block of grid intervals.
-
-    Interval i starts at ``starts[i]`` and holds ``counts[i]`` steps of
-    h = gaps[i] / counts[i].  Its ticks accumulate t += h from the start,
-    one cumulative sum along a row padded to the longest interval, and its
-    distinct stage times are the ticks and the midpoints t + h/2,
-    1 + 2 counts[i] of them in time order.  ``weights`` is called once, on
-    the distinct stage times of all intervals in turn.
-
-    Returns (4, steps, 1 + 4B): the rows to x2, x3, x4 and to the step
-    result of every step, the steps in time order (see ``_rk4``), written
-    into the front of the flat array ``buffer``.
-    """
-    h = gaps / counts
-    width = int(counts.max())
-    ticks = np.empty((counts.size, width + 1))
-    ticks[:, 0] = starts
-    ticks[:, 1:] = h[:, None]
-    ticks = np.cumsum(ticks, axis=1)
-    stage_times = np.empty((counts.size, 2 * width + 1))
-    stage_times[:, 0::2] = ticks
-    stage_times[:, 1::2] = ticks[:, :-1] + (h / 2.0)[:, None]
-    distinct = np.arange(2 * width + 1) < (2 * counts + 1)[:, None]
-    stage_weights = weights(stage_times[distinct])
-    # Step j of interval i is step k of the block; its first stage time is
-    # distinct stage time 2k + i, since each earlier interval adds one end tick.
-    steps = int(counts.sum())
-    first = 2 * np.arange(steps) + np.repeat(np.arange(counts.size), counts)
-    # (steps, 4, B): the weights of k1..k4 of every step
-    stage_weights = stage_weights[first[:, None] + _RK4_STAGE_TIME]
-    rows = buffer[:4 * steps * (1 + 4 * stage_weights.shape[2])].reshape(4, steps, -1)
-    rows[:, :, 0] = 1.0
-    # (4, steps, 4, B), a view of the rows: splitting their last axis copies nothing
-    coefficients = rows[:, :, 1:].reshape(4, steps, 4, -1)
-    step_h = np.repeat(h, counts)[:, None, None]
-    for kind, tableau in zip(coefficients, _RK4_TABLEAU):
-        np.multiply(step_h * tableau[:, None], stage_weights, out=kind)
-    return rows
 
 
 def _rk4_steps(weights, times, counts, width):
     """The rows (to x2, to x3, to x4, to the step result) of every rk4 step, in time order.
 
-    The rows, of ``width`` = 1 + 4B coefficients, are built for one block of
-    intervals at a time (``_rk4_blocks``), each block into the same buffer,
-    sized for the largest block: the rows of one block are live at a time.
+    Interval i holds ``counts[i]`` steps of h = gap / counts[i], whose starts
+    accumulate t += h from ``times[i]``.  The steps of all intervals form one
+    stream, cut into blocks of ``_RK4_BLOCK_STEPS`` steps wherever interval
+    boundaries fall.  ``weights`` is called once per block, on the starts t,
+    midpoints t + h/2 and ends t + h of its steps, and every coefficient
+    (h a) w of the rows, of ``width`` = 1 + 4B entries, is written into one
+    reused buffer: the rows of one block are live at a time.
     """
-    gaps = np.diff(times)
-    blocks = list(_rk4_blocks(counts))
-    buffer = np.empty(4 * width * max((int(counts[first:stop].sum()) for first, stop in blocks),
-                                      default=0))
-    for first, stop in blocks:
-        yield from zip(*_rk4_schedule(weights, times[first:stop], gaps[first:stop],
-                                      counts[first:stop], buffer))
+    interval_h, counts = (np.diff(times) / counts).tolist(), counts.tolist()
+    starts = itertools.chain.from_iterable(
+        itertools.accumulate(itertools.repeat(step, count - 1), initial=start)
+        for start, step, count in zip(times[:-1].tolist(), interval_h, counts))
+    sizes = itertools.chain.from_iterable(map(itertools.repeat, interval_h, counts))
+    buffer = np.empty(4 * width * min(sum(counts), _RK4_BLOCK_STEPS))
+    while (t := np.fromiter(itertools.islice(starts, _RK4_BLOCK_STEPS), float)).size:
+        h = np.fromiter(itertools.islice(sizes, t.size), float)
+        # (3, steps, B): the weights at the start, midpoint and end of every step
+        stages = weights(np.concatenate([t, t + h / 2.0, t + h])).reshape(3, t.size, -1)
+        rows = buffer[:4 * width * t.size].reshape(4, t.size, width)
+        rows[:, :, 0] = 1.0
+        # (4, steps, 4, B), a view of the rows: splitting their last axis copies nothing
+        coefficients = rows[:, :, 1:].reshape(4, t.size, 4, -1)
+        for kind, tableau in zip(coefficients, _RK4_TABLEAU):
+            for s, stage in enumerate(_RK4_STAGE_TIME):
+                np.multiply((h * tableau[s])[:, None], stages[stage], out=kind[:, s])
+        yield from zip(*rows)
 
 
 def _rk4(stack, weights, p0, times, counts):
@@ -425,12 +385,11 @@ def _rk4(stack, weights, p0, times, counts):
     its result into row 0 of the other one, so a step is 4 products of the
     stack and 4 row products, and nothing is copied.
 
-    The coefficient rows are built by ``_rk4_schedule`` for a block of
-    whole intervals at a time, at most ``_RK4_BLOCK_STEPS`` steps, into one
-    reused buffer; the weights are evaluated once per block.  Their memory
-    does not grow with the number of grid points, but an interval of more
-    steps than ``_RK4_BLOCK_STEPS`` is a block of its own, so it grows with
-    the longest interval of a ragged grid.
+    The coefficient rows are built by ``_rk4_steps`` for a block of
+    ``_RK4_BLOCK_STEPS`` steps at a time, cut from the steps of all grid
+    intervals in time order, into one reused buffer; the weights are
+    evaluated once per block, at three stage times a step.  Their memory is
+    one block of rows, about 1.2 MB for a drive, on any grid.
     """
     terms = stack.shape[0] // p0.size
     # zeros, not empty: the first step's rows multiply the unwritten stage
@@ -481,17 +440,20 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
         or of the stacked [M_static; M_drive], with the stage vector, and
         every stage input and step result is one coefficient row, built
         from h and f at the stage times, applied to P and those products.
-        The rows are built for a block of whole grid intervals at a time,
-        so their memory does not grow with the number of grid points (it
-        does grow with an interval of more than 4 096 steps, which is a
-        block of its own), and f is evaluated once per block, on the array
-        of its distinct stage times; M(t) is never formed.  Before the
-        first step, h * omega must lie within rk4's stability limit
-        2 sqrt(2) on the imaginary axis, omega bounding the Bohr
-        frequencies: the spread of H's eigenvalues, or
-        spread(H0) + max|f| spread(H1) for a drive (Weyl's inequality).
+        The rows are built for a block of 4 096 steps at a time, wherever
+        grid points fall, so their memory is one block of rows (about
+        1.2 MB for a drive) on any grid, and f is evaluated once per block,
+        on the array of the three stage times t, t + h/2 and t + h of its
+        steps; M(t) is never formed.  Before the first step, h * omega
+        must lie within rk4's stability limit 2 sqrt(2) on the imaginary
+        axis, omega bounding the Bohr frequencies: the spread of H's
+        eigenvalues, or spread(H0) + max|f| spread(H1) for a drive
+        (Weyl's inequality).
         Otherwise, and for any non-finite rk4 row, it raises
         ``InvariantViolationError``.
+    substeps : int
+        rk4 steps per smallest grid gap: a Python or numpy integer >= 1,
+        not a bool.  Anything else raises ValueError.
     oracle : (d, d) array_like, optional
         Initial density matrix, Hermitian within 1e-12
         (``require_hermitian``); when given (autonomous generators only) the
@@ -516,9 +478,13 @@ def propagate_grid(gen, p0, times, method="exact-expm", substeps=10, oracle=None
     if oracle is not None and driven:
         raise MethodUnsupportedError(
             "density-matrix comparison requires an autonomous generator")
-    substeps = int(substeps)
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+    try:
+        valid = not isinstance(substeps, bool) and operator.index(substeps) >= 1
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"substeps must be an integer >= 1, not {substeps!r}")
+    substeps = operator.index(substeps)
 
     if method == "exact-expm":
         values = _flow(gen, p0.values, times - times[0])

@@ -24,6 +24,7 @@ from evspin import (
     build_generator,
     build_hamiltonian,
     convex_mix,
+    coherent_amplitudes,
     coherent_state,
     Direction,
     evolve_density_matrix,
@@ -414,9 +415,13 @@ class TestPropagateGrid:
     @pytest.mark.parametrize("shape", sorted(DRIVE_ENVELOPES))
     def test_driven_rk4_matches_per_stage_matrices(self, quorum_for, shape):
         dgen, p0 = driven_setup(quorum_for, DRIVE_ENVELOPES[shape])
-        for times in (np.linspace(0.0, 1.5, 16), np.array([0.0, 0.1, 0.25, 0.5, 0.7, 1.0, 1.3])):
-            traj = propagate_grid(dgen, p0, times, method="rk4", substeps=4)
-            reference = rk4_assembling_matrix_at(dgen, p0.values, times, 4)
+        # [0, 1e-3, 0.5] at substeps 10 is 10 + 4 990 steps: a block of
+        # 4 096 steps ends inside the second interval
+        for times, substeps in ((np.linspace(0.0, 1.5, 16), 4),
+                                (np.array([0.0, 0.1, 0.25, 0.5, 0.7, 1.0, 1.3]), 4),
+                                (np.array([0.0, 1e-3, 0.5]), 10)):
+            traj = propagate_grid(dgen, p0, times, method="rk4", substeps=substeps)
+            reference = rk4_assembling_matrix_at(dgen, p0.values, times, substeps)
             assert np.max(np.abs(traj.values - reference)) < 1e-13
 
     @pytest.mark.parametrize("two_s", [2, 8])
@@ -443,21 +448,27 @@ class TestPropagateGrid:
         monkeypatch.setattr(Envelope, "__call__", recorded)
         times = np.linspace(0.0, 1.0, 11)
         propagate_grid(dgen, p0, times, method="rk4", substeps=3)
-        # f is evaluated once per distinct stage time, in time order: the
-        # start of each of the 10 intervals, then the midpoint and the end of
-        # each of its 3 steps, the ticks accumulated t += h from the start
-        expected = []
+        # f is evaluated once for the one block of 30 steps, on the starts,
+        # then the midpoints, then the ends of the steps, each start
+        # accumulated t += h from its interval's start
+        starts, midpoints, ends = [], [], []
         for start, end in zip(times[:-1].tolist(), times[1:].tolist()):
             h = (end - start) / 3
             t = start
-            expected.append(t)
             for _ in range(3):
-                expected.append(t + h / 2.0)
+                starts.append(t)
+                midpoints.append(t + h / 2.0)
                 t += h
-                expected.append(t)
-        stage_times = np.concatenate(received).tolist()
-        assert len(stage_times) == 10 * (1 + 2 * 3)
-        assert [t.hex() for t in stage_times] == [t.hex() for t in expected]
+                ends.append(t)
+        assert len(received) == 1
+        stage_times = [t.hex() for t in received[0].tolist()]
+        assert stage_times == [t.hex() for t in starts + midpoints + ends]
+        # An end is the next step's start, so the values received are the 10
+        # (1 + 2 3) stage times of the intervals: each interval's start, and
+        # the midpoint and end of each of its steps.
+        interval_stage_times = [t.hex() for t in starts[::3] + midpoints + ends]
+        assert len(interval_stage_times) == 10 * (1 + 2 * 3)
+        assert set(stage_times) == set(interval_stage_times)
 
     @pytest.mark.parametrize("run", ["exact-expm", "rk4", "driven-rk4"])
     def test_one_point_grid_returns_p0(self, quorum_for, run):
@@ -502,11 +513,19 @@ class TestPropagateGrid:
         short, long = working_memory(2001), working_memory(20001)
         assert long <= short + 8 * 8 * (20001 - 2001), (short, long)
 
-    def test_rk4_keeps_one_block_of_rows(self, quorum_for):
-        # 2 001 points at 10 substeps are 20 000 steps, in blocks of 4 090 steps
-        # and less.  Every block's rows go into one buffer, so the working
-        # memory must stay below two blocks of rows, 4 (1 + 4B) doubles a step
-        # for B = 2; rows kept alive from the previous block would exceed it.
+    @pytest.mark.parametrize("times, substeps", [
+        (np.linspace(0.0, 20.0, 2001), 10),
+        (np.array([0.0, 1e-3, 10.0]), 10),
+        (np.append(np.arange(2048) * 1e-3, 4.095), 1),
+    ], ids=["uniform", "one-long-interval", "blocks-cut-in-intervals"])
+    def test_rk4_keeps_one_block_of_rows(self, quorum_for, times, substeps):
+        # 2 001 points at 10 substeps are 20 000 steps, in blocks of 4 096
+        # steps; [0, 1e-3, 10] puts 99 990 of its 100 000 steps in one
+        # interval, and the last grid holds 4 095 steps of two lengths.  Every
+        # block's rows go into one buffer, so the working memory must stay
+        # below two blocks of rows, 4 (1 + 4B) doubles a step for B = 2, on
+        # every grid; rows kept alive from the previous block, or built for
+        # a whole interval, would exceed it.
         q = quorum_for(1)
         spec = HamiltonianSpec(linear=(0.0, 0.0, 1.0),
                                drive=Drive(HamiltonianSpec(linear=(0.3, 0.0, 0.0)),
@@ -514,10 +533,9 @@ class TestPropagateGrid:
                                                     frequency=2.0)))
         dgen = build_driven_generator(spec, q)
         p0 = rho_to_pvec(maximally_mixed(2), q)
-        times = np.linspace(0.0, 20.0, 2001)
         tracemalloc.start()
         try:
-            traj = propagate_grid(dgen, p0, times, method="rk4", substeps=10)
+            traj = propagate_grid(dgen, p0, times, method="rk4", substeps=substeps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -538,6 +556,24 @@ class TestPropagateGrid:
             errors.append(np.max(np.abs(traj.values[-1] - reference)))
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(3)]
         assert min(orders) > 3.8
+
+    @pytest.mark.parametrize("substeps, accepted", [
+        (3, True), (np.int64(3), True), (np.int32(3), True),
+        (2.9, False), (3.0, False), (np.float64(3.0), False), (True, False),
+        (np.bool_(True), False), ("3", False), (math.inf, False), (None, False),
+        (0, False), (-1, False),
+    ], ids=repr)
+    def test_substeps_must_be_an_integer(self, quorum_for, substeps, accepted):
+        q, gen, plus_x = larmor_setup(quorum_for)
+        p0 = rho_to_pvec(plus_x, q)
+        times = np.linspace(0.0, 1.0, 5)
+        if accepted:
+            traj = propagate_grid(gen, p0, times, method="rk4", substeps=substeps)
+            reference = propagate_grid(gen, p0, times, method="rk4", substeps=3)
+            assert traj.values.tobytes() == reference.values.tobytes()
+        else:
+            with pytest.raises(ValueError, match="substeps"):
+                propagate_grid(gen, p0, times, method="rk4", substeps=substeps)
 
     def test_times_validation(self, quorum_for):
         q, gen, plus_x = larmor_setup(quorum_for)
@@ -625,6 +661,83 @@ def test_driven_rk4_property(quorum_for, case):
     reference = rk4_assembling_matrix_at(dgen, p0.values, times, substeps)
     scale = max(1.0, float(np.max(np.abs(reference))))
     assert np.max(np.abs(traj.values - reference)) < 1e-13 * scale
+
+
+def rotation_reference(quorum, rho0, b_at, times, wrong_way=False):
+    """P_n(t) = <R(t)^T n_n| rho0 |R(t)^T n_n> for H(t) = b(t) . s, by scipy's DOP853.
+
+    The Heisenberg picture rotates the spin, U^dagger s U = R s with
+    dR/dt = [b(t)]x R and R(0) = 1, so U^dagger maps the coherent state
+    along n to the one along R^T n, up to a phase.  This uses neither M, nor
+    the duals, nor a d x d propagator.  ``wrong_way`` takes R n instead.
+    """
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+
+    def rhs(t, r):
+        bx, by, bz = b_at(t)
+        cross = np.array([[0.0, -bz, by], [bz, 0.0, -bx], [-by, bx, 0.0]])
+        return (cross @ r.reshape(3, 3)).reshape(-1)
+
+    solution = solve_ivp(rhs, (times[0], times[-1]), np.eye(3).reshape(-1), method="DOP853",
+                         t_eval=times, rtol=1e-13, atol=1e-15)
+    theta, phi = np.array([(d.theta, d.phi) for d in quorum.directions]).T
+    n = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
+                 axis=1)
+    rows = []
+    for r in solution.y.T.reshape(-1, 3, 3):
+        # the rows of n @ R are the (R^T n_n)^T
+        m = n @ (r.T if wrong_way else r)
+        a = coherent_amplitudes(quorum.spin, np.arctan2(np.hypot(m[:, 0], m[:, 1]), m[:, 2]),
+                                np.arctan2(m[:, 1], m[:, 0]))
+        rows.append(np.einsum("ni,ij,nj->n", a.conj(), rho0, a).real)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("shape", ["cosine", "constant"])
+@pytest.mark.parametrize("two_s", [1, 2, 8])
+def test_driven_rk4_matches_the_classical_rotation(quorum_for, two_s, shape):
+    """Driven rk4 for H(t) = b(t) . s, b(t) = b0 + f(t) b1, against the rotation of the spin.
+
+    Error model.  The Bohr frequencies of b . s have modulus at most
+    Omega = 2s max|b(t)| <= 2s (|b0| + max|f| |b1|).  For a constant b,
+    rk4 multiplies each mode exp(i omega t) of P by the amplification
+    polynomial R(i h omega), off by at most (h Omega)^5 / 120 a step, so
+    by T h^4 Omega^5 / 120 after T / h steps; the modes' coefficients in an
+    entry of P, <n|j> rho_jk <k|n> in H's eigenbasis, sum in modulus to at
+    most 1 for a density matrix.  A drive slower than Omega changes the
+    constant, not this order of magnitude, and the model takes it as is.
+    Rounding adds at most about N eps per step, N-term products in each of
+    T / h steps, and DOP853 at rtol 1e-13 about 2s 1e-13 through the
+    directions of 2s-th powers.  The tolerance is the sum.  Measured, the deviation was
+    1.4e-14 to 5.1e-12, below 0.91 of the truncation term at 2s = 1 and
+    below 0.015 of it at 2s = 2 and 8.
+
+    Piecewise envelopes are left out: at a breakpoint on a grid point,
+    fixed-step rk4 is O(h) there.
+    """
+    q = quorum_for(two_s)
+    envelope = DRIVE_ENVELOPES[shape]
+    rng = np.random.default_rng(70 + two_s)
+    b0, b1 = rng.normal(size=3), rng.normal(size=3)
+    spec = HamiltonianSpec(linear=tuple(b0), drive=Drive(HamiltonianSpec(linear=tuple(b1)),
+                                                         envelope))
+    dgen = build_driven_generator(spec, q)
+    rho0 = random_density_matrix(q.dim, rng)
+    times = np.linspace(0.0, 5.0, 501)
+    traj = propagate_grid(dgen, rho_to_pvec(rho0, q), times, method="rk4", substeps=10)
+
+    h, span = 0.01 / 10, float(times[-1] - times[0])
+    omega = two_s * (np.linalg.norm(b0) + envelope.max_abs * np.linalg.norm(b1))
+    eps = np.finfo(float).eps
+    tol = span * h**4 * omega**5 / 120 + (span / h) * q.size * eps + two_s * 1e-13
+
+    def b_at(t):
+        return b0 + envelope(t) * b1
+
+    deviation = np.max(np.abs(traj.values - rotation_reference(q, rho0, b_at, times)))
+    assert deviation < tol, (deviation, tol)
+    wrong_way = np.max(np.abs(traj.values - rotation_reference(q, rho0, b_at, times, True)))
+    assert wrong_way > 1e3 * tol, (wrong_way, tol)
 
 
 class TestRk4StabilityGuard:
