@@ -134,7 +134,11 @@ def build_generator(hmat, quorum):
     """Build and verify the flow generator for Hamiltonian ``hmat``.
 
     M[n, n'] = i/(2s+1) Tr[H [Q_n, dual_n']] = Tr[Q_n C_n'] / (2s+1), with
-    C_n' = i [dual_n', H] Hermitian.  The kept form is
+    C_n' = i [dual_n', H] Hermitian.  All N commutators come from one
+    product X = dual H, one (N d, d) x (d, d) GEMM, as C = i (X - X^dagger):
+    H (checked Hermitian within 1e-12 by its eigendecomposition) and every
+    dual are Hermitian, so H dual = X^dagger, and each C_n' comes out
+    Hermitian exactly.  The kept form is
     ``quorum.probabilities`` of the C_n', real by construction; the
     sandwich form <n_n|C_n'|n_n> / (2s+1) reads the projectors instead of
     T.  The two are compared, e^T M = 0 is enforced, and the closed-form
@@ -185,7 +189,10 @@ def build_generator(hmat, quorum):
     # An H near the overflow threshold makes these products inf or NaN; the
     # checks below reject them, so numpy's warnings would only repeat them.
     with np.errstate(over="ignore", invalid="ignore"):
-        commutators = 1j * (np.matmul(duals, hmat) - np.matmul(hmat, duals))
+        # C = i (X - X^dagger) with X = dual H: H and every dual are Hermitian.
+        commutators = (duals.reshape(size * d, d) @ hmat).reshape(size, d, d)
+        commutators -= commutators.conj().transpose(0, 2, 1)
+        commutators *= 1j
         matrix = np.ascontiguousarray(quorum.probabilities(commutators).T / d)
         # The sandwich form, <n|C|n> = sum_ij conj(Q_n[i, j]) C_ij, reads the projectors.
         sandwiches = quorum.projectors.conj().reshape(size, d * d)

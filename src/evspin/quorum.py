@@ -7,13 +7,16 @@ real parameters, so in an orthonormal basis B_a of Hermitian operators the
 map rho -> P_n = Tr[Q_n rho] is a square real matrix T[n, a] = Tr[Q_n B_a].
 T and T^{-1} are kept: every Tr[Q_n X] is ``Quorum.probabilities``, one
 product with T, and every reconstruction ``Quorum.operator``, one with
-T^{-1}; the duals are (2s+1) T^{-1} read back as operators.  The Gram
-matrix G = T T^T is formed on first use.  Its smallest eigenvalue tests
-informational completeness, and its condition number is kappa(T)^2; the
-rotation symmetry of the cones splits its spectrum into d blocks of size
-d, and both are read from those (see ``build_quorum``).  Every structural
-identity the rest of the package relies on (rank-1 projectors, duality,
-identity expansion) is verified eagerly at build time.
+T^{-1}; the duals are (2s+1) T^{-1} read back as operators.  The rotation
+symmetry of the cones splits T into d blocks of size d, one per rotation
+sector, and the build reads everything else from those blocks (see
+``build_quorum``): the duals from their inverses, one sector at a time,
+and T^{-1} from the duals' coordinates; the smallest eigenvalue of the
+Gram matrix G = T T^T, which tests informational completeness, and its
+condition number kappa(T)^2 from their singular values.  G itself is
+formed on first use.  Every structural identity the rest of the package
+relies on (rank-1 projectors, duality, identity expansion) is verified
+eagerly at build time.
 """
 
 import functools
@@ -104,8 +107,10 @@ class Quorum:
     Index convention: n = cone * (2s+1) + azimuth (cone-major).
     ``matrix`` is the real N x N quorum matrix T[n, a] = Tr[Q_n B_a] in the
     orthonormal Hermitian basis of ``_hermitian_coordinates``, ``inverse``
-    is T^{-1} and ``gram`` = T T^T.  ``dual_traces`` holds e_n =
-    Tr[dual_n] / (2s+1), the coefficients of the functional e . P = Tr[rho].
+    is T^{-1}, read from the coordinates of the duals, which are solved one
+    rotation sector at a time (see ``build_quorum``), and ``gram`` = T T^T.
+    ``dual_traces`` holds e_n = Tr[dual_n] / (2s+1), the coefficients of
+    the functional e . P = Tr[rho].
     ``directions`` and ``gram`` serve reports and tests, not the dynamics,
     and are formed on first use.  ``checks`` holds ``build_quorum``'s
     ``Check`` records, which ``condition_number``, ``duality_residual`` and
@@ -232,6 +237,28 @@ def _hermitian_from_coordinates(x, d):
     return a
 
 
+def _sector_duals(blocks):
+    """The N duals, a C-ordered (N, d, d) stack, from ``build_quorum``'s blocks A_nu.
+
+    dual_{c,j}[l, i] = w^(-j nu) A_nu^{-1}[i, c] with nu = (i - l) mod d: one
+    batched inverse of the d blocks, the inverses and the phases gathered
+    onto the (l, i) grid, and one broadcast product.  Averaging each dual
+    with its adjoint then makes it Hermitian exactly: IEEE addition
+    commutes, so an entry and its mirror are exact conjugates and the
+    diagonal is exactly real.  A singular block raises
+    ``np.linalg.LinAlgError``.
+    """
+    d = blocks.shape[0]
+    diag, _, _, wrapped = _index_arrays(d)
+    powers = np.arange(d)
+    phases = np.exp(-2j * math.pi / d * (np.outer(powers, powers) % d))  # [j, nu]
+    inverses = np.linalg.inv(blocks)[wrapped, diag].transpose(2, 0, 1)  # [c, l, i]
+    duals = np.multiply(inverses[:, None], phases[:, wrapped], order="C").reshape(d * d, d, d)
+    duals += duals.transpose(0, 2, 1).conj()
+    duals *= 0.5
+    return duals
+
+
 _CONDITION_WARN = 1e8
 
 
@@ -243,22 +270,23 @@ def build_quorum(config):
     and check the projectors through the norms: for Q = |psi><psi|,
     Q^2 - Q = (|psi|^2 - 1) Q and Tr Q = |psi|^2.  Gather the quorum
     matrix T[n, a] = Tr[Q_n B_a] in the real orthonormal basis of
-    ``_hermitian_coordinates``, and find the extreme eigenvalues of the
-    Gram matrix G = T T^T, G_{nn'} = Tr[Q_n Q_n'] = |<n|n'>|^2 (positive
-    definiteness, condition number) without forming it; see "Gram
-    spectrum" below.  The duals come from one
-    real square solve: T is inverted, and
-    dual_m = (2s+1) sum_a (T^{-1})[a, m] B_a is scattered back into
-    operators.  The scatter writes each off-diagonal pair as a value and
-    its conjugate and the diagonal from real input, so the duals are
-    Hermitian and their traces real exactly; neither is checked.  Then
-    duality (the matrix Tr[Q_n dual_m] / (2s+1) as the real product of T
-    with the duals' coordinates, gathered again from the scattered
-    operators) and the identity expansion
-    sum_n Tr[dual_n] Q_n = (2s+1) * identity are checked.  The expansion is
-    compared in coordinates: T^T times the traces, which are (2s+1) times
-    the column sums of T^{-1}'s rows for the diagonal units E_ii, against
-    (2s+1) on those units.  It tests T^{-1} T where duality tests T T^{-1}.
+    ``_hermitian_coordinates``, and gather the d rotation blocks A_nu of the
+    first projector of each cone.  Their singular values give the extreme
+    eigenvalues of the Gram matrix G = T T^T, G_{nn'} = Tr[Q_n Q_n'] =
+    |<n|n'>|^2 (positive definiteness, condition number), without forming
+    G; see "Gram spectrum" below.  Their inverses give the duals, one
+    rotation sector at a time (``_sector_duals``); see "Sector solve"
+    below.  The duals are Hermitian and their traces real exactly, by the
+    final average with the adjoint; neither is checked.  ``inverse`` is
+    the duals' coordinates divided by (2s+1), which is T^{-1} up to
+    rounding.  Then duality and the identity expansion
+    sum_n Tr[dual_n] Q_n = (2s+1) * identity are checked.  Duality is
+    the matrix Tr[Q_n dual_m] / (2s+1), the real product of the full T,
+    gathered from all N projectors, with the duals' coordinates; so it
+    checks the block inverses, the gather and the rotation symmetry that
+    the sector solve assumes, all at once.  The expansion is compared in
+    coordinates: T^T times the duals' traces against (2s+1) on the
+    diagonal units E_ii.  It tests T^{-1} T where duality tests T T^{-1}.
 
     Checks, each a ``require`` kept in ``Quorum.checks`` in this order:
     ``projector_norm_deviation`` at most 1e-12, ``condition_number``
@@ -281,17 +309,36 @@ def build_quorum(config):
     singular values of T to 1.4e-11 at 2s = 14, where eigenvalues of G
     were off by 1.5e-6.
 
-    Error model: LU with partial pivoting is backward stable, so the
-    computed inverse X satisfies (T + dT) X = I with |dT| ~ N eps |T|, and
-    the duality residual T X - I is of order kappa(T) eps with
-    kappa(T) = sqrt(kappa(G)).  Solving the Gram system instead would make
-    it kappa(G) eps: 5.2e3 against 2.7e7 at 2s = 10.
+    Sector solve: try dual_{c',j'}[l, i] = w^(-j' nu) G_nu[i, c'] with
+    nu = (i - l) mod d.  Summing Q_{c,j}[i, l] dual_{c',j'}[l, i] over i and
+    l = (i - nu) mod d gives
+
+        Tr[Q_{c,j} dual_{c',j'}] = sum_nu w^((j - j') nu) (A_nu G_nu)[c, c'],
+
+    which is d delta_cc' delta_jj', duality, exactly when G_nu = A_nu^{-1}.
+    So the N x N solve splits into d solves of size d: O(d^4) work in
+    place of O(d^6) for T.  The blocks are gathered from the closed-form
+    projectors, never from a DFT of rounded data.
+
+    Error model: T's singular values are sqrt(d) times those of the A_nu
+    (G's eigenvalues are d sigma^2), so kappa(A_nu) <= kappa(T) for every
+    nu.  LU with partial pivoting is backward stable, so each computed
+    block inverse X_nu has A_nu X_nu - I of order d kappa(A_nu) eps, and
+    the phases, the gather and the average add a relative error of order
+    eps per entry.  The duality residual T T^{-1} - I is therefore of
+    order kappa(T) eps, with kappa(T) = sqrt(kappa(G)), as from an LU of T
+    itself, whose backward error grows with N instead of d.  On the
+    default layout the duality and identity-expansion residuals were
+    1.9e-14 and 1.7e-13 at 2s = 10, and 8.4e-13 and 6.6e-11 at 2s = 14,
+    against 9.9e-14, 7.8e-13, 2.5e-12 and 8.9e-10 from inverting T.
+    Solving the Gram system instead would make the error kappa(G) eps:
+    5.2e3 against 2.7e7 at 2s = 10.
 
     Raises
     ------
     SingularQuorumError
-        Gram matrix not positive definite within tolerance, or the quorum
-        matrix singular; the direction set is not informationally complete
+        Gram matrix not positive definite within tolerance, or a rotation
+        block singular; the direction set is not informationally complete
         (e.g. duplicated directions).
     InvariantViolationError
         Any eager self-check fails.
@@ -332,20 +379,21 @@ def build_quorum(config):
             IllConditionedQuorumWarning, stacklevel=2)
 
     try:
-        inverse = np.linalg.inv(quorum_matrix)
+        duals = _sector_duals(blocks)
     except np.linalg.LinAlgError as exc:
         raise SingularQuorumError(
             f"quorum matrix is singular ({exc}); direction set is not "
             "informationally complete", min_eigenvalue=min_eig) from exc
-    duals = _hermitian_from_coordinates(d * inverse.T, d)
 
-    # delta[n, m] = Tr[Q_n dual_m] / (2s+1) = <n|dual_m|n> / (2s+1), as one
-    # real product of coordinates.  Those of the duals are gathered afresh
-    # from the scattered operators, so the scatter is checked too.
-    delta = quorum_matrix @ _hermitian_coordinates(duals).T / d
+    # delta[n, m] = Tr[Q_n dual_m] / (2s+1) as one real product of the full
+    # T, gathered from all N projectors, with the duals' coordinates: it
+    # checks the sector solve, the gather and the rotation symmetry alike.
+    coordinates = _hermitian_coordinates(duals)
+    inverse = coordinates.T / d
+    delta = quorum_matrix @ inverse
     checks.append(require("duality_residual", np.max(np.abs(delta - np.eye(size))), 1e-9))
 
-    raw_traces = (d * inverse[:d]).sum(axis=0)
+    raw_traces = coordinates[:, :d].sum(axis=1)
     identity_image = raw_traces @ quorum_matrix
     identity_image[:d] -= d
     checks.append(require("identity_expansion_residual", np.max(np.abs(identity_image)), 1e-8))

@@ -148,9 +148,10 @@ class TestDualSolve:
                 <= 4 * EPS * np.max(np.abs(a)), dim
 
     def test_duals_invert_quorum_matrix(self, quorum_for):
-        # A backward-stable inverse X of T leaves |T X - I| <~ N kappa(T) eps
-        # (see build_quorum); the duals hold d X.  Duals solved from the Gram
-        # matrix instead exceed this bound at 2s = 7, 9 and 10.
+        # The sector solve, like any backward-stable inverse X of T, leaves
+        # |T X - I| <~ N kappa(T) eps (see build_quorum); the duals hold d X.
+        # Duals solved from the Gram matrix instead exceed this bound at
+        # 2s = 7, 9 and 10.
         for two_s in range(11):
             q = quorum_for(two_s)
             t = _hermitian_coordinates(q.projectors)

@@ -165,8 +165,6 @@ class TestExpandOperator:
         # those add to at most 2 N max|A| D_n.  With rounding growing like the
         # square root of the N terms, each sum is off by about d eps times
         # its magnitude, and the two differ by at most 3 d N eps max|A| D_n.
-        # A is a density matrix: at 2s = 12 a random Hermitian A with entries
-        # of order 1 already fails the reconstruction check.
         q = quorum_for(two_s)
         rng = np.random.default_rng(two_s + 80)
         a = random_density_matrix(q.dim, rng)
@@ -185,6 +183,13 @@ class TestExpandOperator:
         north[0, 0] = 1.0
         value = expectation(expand_operator(big, q), rho_to_pvec(north, q))
         assert abs(value - 1000 * two_s / 2) < 1e-9 * 1000 * two_s / 2
+
+    @pytest.mark.filterwarnings("ignore::evspin.IllConditionedQuorumWarning")
+    @pytest.mark.parametrize("name", ["sx", "sy", "sz"])
+    def test_spin_operators_accepted_at_2s_12(self, quorum_for, name):
+        # Duals from inverting the whole T failed the unchanged bound
+        # 1e-9 max(1, max|A|) here: sx by 5.8e-9 against 3.2e-9 on one BLAS thread.
+        expand_operator(np.asarray(getattr(spin_operators(Spin(12)), name)), quorum_for(12))
 
     def test_perturbed_inverse_fails_reconstruction_check(self, quorum_for):
         q = quorum_for(2)
